@@ -150,19 +150,20 @@ func (a LinAtom) satisfiedMargin(x []float64) float64 {
 	if b == 0 {
 		return clampEps(alpha / beta)
 	}
-	disc := beta*beta - 4*b*(alpha-b)
-	if disc < 0 {
-		// Cannot happen (paper: β² − 4b(α−b) = β² − α² + (α−2b)² ≥ 0);
-		// defensive.
-		return EpsMax
-	}
-	sq := math.Sqrt(disc)
+	// The discriminant β² − 4b(α−b) equals −4·A·C + (α−2b)² (paper:
+	// β² − α² + (α−2b)²), a sum of two non-negative terms; evaluating it
+	// in that form avoids the cancellation of the textbook expression.
+	disc := -4*A*C + (alpha-2*b)*(alpha-2*b)
 	// Roots of b·ε² − β·ε + (α−b) = 0. The worst-corner value W(ε) is
 	// strictly decreasing on [0,1) with W(0) = α ≥ b, so the genuine
 	// touching point is the smallest root inside (0,1); roots outside
 	// mean the orthotope never reaches the hyperplane (margin EpsMax).
-	r1 := (beta - sq) / (2 * b)
-	r2 := (beta + sq) / (2 * b)
+	// β > 0 here, so q = (β+√disc)/2 > 0 and the stable root pair
+	// (α−b)/q, q/b avoids subtracting nearly equal β and √disc — the
+	// cancellation that turned points on the hyperplane into EpsMax.
+	q := (beta + math.Sqrt(disc)) / 2
+	r1 := (alpha - b) / q
+	r2 := q / b
 	eps := math.Inf(1)
 	for _, r := range []float64{r1, r2} {
 		if r > 0 && r < 1 && r < eps {

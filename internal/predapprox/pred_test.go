@@ -63,6 +63,41 @@ func TestMarginOnHyperplaneIsZero(t *testing.T) {
 	}
 }
 
+// Points where the quadratic of Theorem 5.2 is ill-conditioned: the
+// textbook root (β−√disc)/(2b) and the discriminant β²−4b(α−b) both
+// cancel catastrophically there. Each case also checks the λ-scaled atom,
+// whose margin must agree (the margin is scale invariant).
+func TestLinearMarginCancellation(t *testing.T) {
+	cases := []struct {
+		name    string
+		coef    []float64
+		b       float64
+		x       []float64
+		want    float64
+		tol     float64
+		lambdas []float64
+	}{
+		// 6.4375·0.56 − 2.375·0.86 = 1.5625: on the hyperplane, margin 0
+		// (Remark 5.3), not EpsMax.
+		{"on hyperplane", []float64{103.0 / 16, -38.0 / 16}, 50.0 / 32, []float64{0.56, 0.86}, 0, 1e-12, []float64{0.7, 2.5, 3.3}},
+		// Negated to 7x₁ + 6x₂ > 2.5 with α = β = 2b: a double root at
+		// ε = 1, so the orthotope never reaches the hyperplane.
+		{"double root at one", []float64{-7, -6}, -2.5, []float64{0.14, 0.67}, EpsMax, 1e-9, []float64{0.6, 1.7, 4.4}},
+	}
+	for _, c := range cases {
+		got := Linear(c.coef, c.b).Margin(c.x)
+		if math.Abs(got-c.want) > c.tol {
+			t.Errorf("%s: margin = %v, want %v", c.name, got, c.want)
+		}
+		for _, lam := range c.lambdas {
+			scaled := []float64{c.coef[0] * lam, c.coef[1] * lam}
+			if m := Linear(scaled, c.b*lam).Margin(c.x); math.Abs(m-got) > 1e-9 {
+				t.Errorf("%s: λ=%v margin = %v, unscaled %v", c.name, lam, m, got)
+			}
+		}
+	}
+}
+
 func TestMarginFalsePointUsesNegation(t *testing.T) {
 	phi := Linear([]float64{1}, 0.8) // x₁ ≥ 0.8
 	p := []float64{0.4}              // false

@@ -243,45 +243,57 @@ func (e *Estimator) Absorb(hits, trials int64) {
 	e.trials += trials
 }
 
-// sampleOnce runs one Karp–Luby trial (Definition 4.1) and returns 0 or 1.
-func (e *Estimator) sampleOnce() int {
+// trial runs one Karp–Luby trial (Definition 4.1) and returns 0 or 1: it
+// draws a clause with probability proportional to its weight from the
+// candidates whose cumulative weights are cum, extends the clause to a
+// total assignment over vs (the content-canonical variables of f) in
+// world, and returns 1 iff the drawn clause is the smallest-index clause
+// of all of f consistent with that assignment. idx maps a candidate's
+// position to its index in f — a stratum's clause subset — and nil means
+// the candidates are f itself. The draw order is fixed: one Float64 for
+// the clause, then one per unbound variable in vs order, so a
+// single-stratum plan consumes the flat estimator's exact PRNG stream.
+func trial(f dnf.F, vs []vars.Var, table *vars.Table, cum []float64, idx []int, rng *rand.Rand, world map[vars.Var]int32) int {
 	// Step 1: choose f with probability p_f/M.
-	u := e.rng.Float64() * e.m
-	idx := sort.SearchFloat64s(e.cum, u)
-	if idx == len(e.cum) {
-		idx = len(e.cum) - 1
+	u := rng.Float64() * cum[len(cum)-1]
+	k := sort.SearchFloat64s(cum, u)
+	if k == len(cum) {
+		k = len(cum) - 1
 	}
-	chosen := e.f[idx]
+	gi := k
+	if idx != nil {
+		gi = idx[k]
+	}
+	chosen := f[gi]
 
 	// Step 2: extend to a total assignment f* over vars(F): keep the
 	// chosen clause's bindings, sample every other variable per W.
-	for k := range e.world {
-		delete(e.world, k)
-	}
+	clear(world)
 	for _, b := range chosen {
-		e.world[b.Var] = b.Alt
+		world[b.Var] = b.Alt
 	}
-	for _, v := range e.vars {
-		if _, ok := e.world[v]; ok {
+	for _, v := range vs {
+		if _, ok := world[v]; ok {
 			continue
 		}
-		e.world[v] = e.sampleAlt(v)
+		world[v] = sampleAlt(table.Info(v).Probs, rng)
 	}
 
-	// Step 3: return 1 iff chosen is the smallest-index clause consistent
-	// with f*.
-	for i := 0; i < idx; i++ {
-		if e.consistent(e.f[i]) {
+	// Step 3: return 1 iff chosen is the smallest-index clause of F
+	// consistent with f*. Minimality is tested against all of F even when
+	// drawing from a stratum: that is what makes the stratum masses
+	// partition p.
+	for i := 0; i < gi; i++ {
+		if consistent(f[i], world) {
 			return 0
 		}
 	}
 	return 1
 }
 
-// sampleAlt draws an alternative of v according to its probabilities.
-func (e *Estimator) sampleAlt(v vars.Var) int32 {
-	u := e.rng.Float64()
-	probs := e.table.Info(v).Probs
+// sampleAlt draws an alternative according to its probabilities.
+func sampleAlt(probs []float64, rng *rand.Rand) int32 {
+	u := rng.Float64()
 	acc := 0.0
 	for alt, p := range probs {
 		acc += p
@@ -292,10 +304,10 @@ func (e *Estimator) sampleAlt(v vars.Var) int32 {
 	return int32(len(probs) - 1)
 }
 
-// consistent reports whether the current sampled world extends clause a.
-func (e *Estimator) consistent(a vars.Assignment) bool {
+// consistent reports whether the sampled world extends clause a.
+func consistent(a vars.Assignment, world map[vars.Var]int32) bool {
 	for _, b := range a {
-		if got, ok := e.world[b.Var]; !ok || got != b.Alt {
+		if got, ok := world[b.Var]; !ok || got != b.Alt {
 			return false
 		}
 	}
@@ -310,7 +322,7 @@ func (e *Estimator) Step() { e.Add(len(e.f)) }
 // Add runs n more trials.
 func (e *Estimator) Add(n int) {
 	for i := 0; i < n; i++ {
-		e.hits += int64(e.sampleOnce())
+		e.hits += int64(trial(e.f, e.vars, e.table, e.cum, nil, e.rng, e.world))
 	}
 	e.trials += int64(n)
 }

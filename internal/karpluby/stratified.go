@@ -300,74 +300,9 @@ func (sh *StratumShard) Trials() int64 { return sh.trials }
 // Add runs n more trials on the shard.
 func (sh *StratumShard) Add(n int) {
 	for i := 0; i < n; i++ {
-		sh.hits += int64(sh.sampleOnce())
+		sh.hits += int64(trial(sh.par.f, sh.par.vars, sh.par.table, sh.s.cum, sh.s.idx, sh.rng, sh.world))
 	}
 	sh.trials += int64(n)
-}
-
-// sampleOnce runs one stratified Karp–Luby trial: draw a clause from this
-// stratum with probability p_f/M_j, extend it to a total assignment over
-// vars(F), and return 1 iff the drawn clause is the smallest-index clause
-// of all of F consistent with the extension. The draw sequence replicates
-// Estimator.sampleOnce exactly — one Float64 for the clause, then one per
-// unbound variable in canonical order — so a single-stratum plan consumes
-// the identical PRNG stream and produces bit-identical counts to the flat
-// estimator.
-func (sh *StratumShard) sampleOnce() int {
-	u := sh.rng.Float64() * sh.s.m
-	k := sort.SearchFloat64s(sh.s.cum, u)
-	if k == len(sh.s.cum) {
-		k = len(sh.s.cum) - 1
-	}
-	gi := sh.s.idx[k]
-	chosen := sh.par.f[gi]
-
-	for v := range sh.world {
-		delete(sh.world, v)
-	}
-	for _, b := range chosen {
-		sh.world[b.Var] = b.Alt
-	}
-	for _, v := range sh.par.vars {
-		if _, ok := sh.world[v]; ok {
-			continue
-		}
-		sh.world[v] = sh.sampleAlt(v)
-	}
-
-	// Minimality against ALL of F, not just this stratum: that is what
-	// makes the stratum masses p_j partition p.
-	for i := 0; i < gi; i++ {
-		if sh.consistent(sh.par.f[i]) {
-			return 0
-		}
-	}
-	return 1
-}
-
-// sampleAlt draws an alternative of v according to its probabilities,
-// consuming the PRNG identically to Estimator.sampleAlt.
-func (sh *StratumShard) sampleAlt(v vars.Var) int32 {
-	u := sh.rng.Float64()
-	probs := sh.par.table.Info(v).Probs
-	acc := 0.0
-	for alt, p := range probs {
-		acc += p
-		if u < acc {
-			return int32(alt)
-		}
-	}
-	return int32(len(probs) - 1)
-}
-
-// consistent reports whether the current sampled world extends clause a.
-func (sh *StratumShard) consistent(a vars.Assignment) bool {
-	for _, b := range a {
-		if got, ok := sh.world[b.Var]; !ok || got != b.Alt {
-			return false
-		}
-	}
-	return true
 }
 
 // MergeShard folds shard sh's counts into stratum j. Merging is exact and

@@ -6,19 +6,28 @@ import (
 	"strconv"
 
 	"repro/internal/expr"
+	"repro/internal/provenance"
 	"repro/internal/rel"
 	"repro/internal/sched"
 	"repro/internal/urel"
 )
 
-// URelResult is the outcome of exact evaluation on a U-relational
-// database: the result U-relation (complete relations are U-relations with
-// empty D columns) and the completeness flag c(result). Ops carries the
+// URelResult is the outcome of evaluation on a U-relational database: the
+// result U-relation (complete relations are U-relations with empty D
+// columns) and the completeness flag c(result). Ops carries the
 // evaluation's per-operator statistics; it is set only on the result of a
 // top-level Eval/EvalContext call, never on intermediate results.
 type URelResult struct {
 	Rel      *urel.Relation
 	Complete bool
+	// Errs and Singular annotate results of approximate evaluation
+	// (Section 6), keyed by a data tuple's rel.Tuple.Key: Errs holds the
+	// tuple's membership-error bound µ (propagated by Lemma 6.4), Singular
+	// marks tuples whose σ̂ decisions hit the ε₀ floor. Nil or empty means
+	// reliable; only a non-exact ConfBackend creates entries, so exact
+	// evaluation never pays for them.
+	Errs     provenance.ErrMap
+	Singular map[string]bool
 	Ops      urel.StatsMap
 	// SpilledBytes and SpillFiles report out-of-core activity (WithSpill):
 	// total bytes written to spill files and the number of spill files
@@ -28,11 +37,12 @@ type URelResult struct {
 	SpillFiles   int
 }
 
-// URelEvaluator evaluates UA queries exactly on a U-relational database:
-// positive relational algebra by the parsimonious translation, conf by
-// exact #P computation (dnf), σ̂ by its defining composition with exact
-// confidences. The evaluator works on a clone of the database, so
-// repair-key never mutates the caller's variable table.
+// URelEvaluator is the plan interpreter for UA queries on a U-relational
+// database: positive relational algebra by the parsimonious translation,
+// conf and σ̂ through its ConfBackend — by default exact #P computation
+// (dnf) and σ̂'s defining composition with exact confidences. The
+// evaluator works on a clone of the database, so repair-key never mutates
+// the caller's variable table.
 //
 // A pool-backed evaluator (NewParallelURelEvaluator) runs the partitioned
 // operator implementations across its workers and evaluates independent
@@ -60,6 +70,24 @@ type URelEvaluator struct {
 	// high-water mark: over-budget intermediates move to spill files
 	// instead of aborting the evaluation (see WithSpill).
 	spill *urel.Spill
+	// conf computes the conf and σ̂ nodes (see WithConfBackend).
+	conf ConfBackend
+}
+
+// ConfBackend computes the two plan nodes whose meaning depends on how
+// confidence is computed: conf (pcol names the confidence column) and σ̂.
+// x is the evaluation's operator executor and db its working database,
+// whose variable table repair-key grows as the plan runs. The evaluator
+// never calls a backend from concurrent plan branches (see branchSafe),
+// so implementations may keep single-threaded per-evaluation state.
+//
+// The exact backend is the default. An approximate backend returns
+// estimated confidences and annotates its results with error bounds and
+// singularity marks (URelResult.Errs/Singular), which the evaluator then
+// propagates through the rest of the plan.
+type ConfBackend interface {
+	Conf(x *urel.Exec, db *urel.Database, in URelResult, pcol string) (URelResult, error)
+	ApproxSelect(x *urel.Exec, db *urel.Database, in URelResult, n ApproxSelect) (URelResult, error)
 }
 
 // NewURelEvaluator clones db and returns a sequential evaluator over the
@@ -82,6 +110,7 @@ func NewParallelURelEvaluator(db *urel.Database, pool *sched.Pool) *URelEvaluato
 		ctrs:      ctrs,
 		exec:      urel.NewExec(pool, ctrs),
 		branchSem: make(chan struct{}, pool.Workers()),
+		conf:      exactConf{},
 	}
 }
 
@@ -110,6 +139,17 @@ func (e *URelEvaluator) WithBudget(b *urel.MemBudget) *URelEvaluator {
 // (Close removes the directory). A nil s disables spilling.
 func (e *URelEvaluator) WithSpill(s *urel.Spill) *URelEvaluator {
 	e.spill = s
+	return e
+}
+
+// WithConfBackend replaces the exact confidence computation of conf and
+// σ̂ nodes with b. Returns e for chaining; a nil b restores the exact
+// backend.
+func (e *URelEvaluator) WithConfBackend(b ConfBackend) *URelEvaluator {
+	if b == nil {
+		b = exactConf{}
+	}
+	e.conf = b
 	return e
 }
 
@@ -194,14 +234,23 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 		if err != nil {
 			return URelResult{}, err
 		}
-		return URelResult{Rel: e.exec.Select(in.Rel, n.Pred), Complete: in.Complete}, nil
+		out := URelResult{Rel: e.exec.Select(in.Rel, n.Pred), Complete: in.Complete}
+		if in.Annotated() {
+			// (t, σ_φ(R)) ≺ (t, R): bounds carry over for surviving tuples.
+			out.Errs, out.Singular = selectAnnotations(out.Rel, in)
+		}
+		return out, nil
 
 	case Project:
 		in, err := e.eval(n.In)
 		if err != nil {
 			return URelResult{}, err
 		}
-		return URelResult{Rel: e.exec.Project(in.Rel, n.Targets), Complete: in.Complete}, nil
+		out := URelResult{Rel: e.exec.Project(in.Rel, n.Targets), Complete: in.Complete}
+		if in.Annotated() {
+			out.Errs, out.Singular = ProjectAnnotations(in, n.Targets)
+		}
+		return out, nil
 
 	case Product:
 		l, r, err := e.evalPair(n.L, n.R)
@@ -212,14 +261,36 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 		if err != nil {
 			return URelResult{}, err
 		}
-		return URelResult{Rel: p, Complete: l.Complete && r.Complete}, nil
+		out := URelResult{Rel: p, Complete: l.Complete && r.Complete}
+		if l.Annotated() || r.Annotated() {
+			nl := len(l.Rel.Schema())
+			out.Errs, out.Singular = pairAnnotations(p, l, r, func(row rel.Tuple) (rel.Tuple, rel.Tuple) {
+				return row[:nl], row[nl:]
+			})
+		}
+		return out, nil
 
 	case Join:
 		l, r, err := e.evalPair(n.L, n.R)
 		if err != nil {
 			return URelResult{}, err
 		}
-		return URelResult{Rel: e.exec.Join(l.Rel, r.Rel), Complete: l.Complete && r.Complete}, nil
+		out := URelResult{Rel: e.exec.Join(l.Rel, r.Rel), Complete: l.Complete && r.Complete}
+		if l.Annotated() || r.Annotated() {
+			nl, rSchema := len(l.Rel.Schema()), r.Rel.Schema()
+			rIdx := make([]int, len(rSchema))
+			for i, a := range rSchema {
+				rIdx[i] = out.Rel.Schema().Index(a)
+			}
+			out.Errs, out.Singular = pairAnnotations(out.Rel, l, r, func(row rel.Tuple) (rel.Tuple, rel.Tuple) {
+				rrow := make(rel.Tuple, len(rIdx))
+				for i, j := range rIdx {
+					rrow[i] = row[j]
+				}
+				return row[:nl], rrow
+			})
+		}
+		return out, nil
 
 	case Union:
 		l, r, err := e.evalPair(n.L, n.R)
@@ -230,7 +301,11 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 		if err != nil {
 			return URelResult{}, err
 		}
-		return URelResult{Rel: u, Complete: l.Complete && r.Complete}, nil
+		out := URelResult{Rel: u, Complete: l.Complete && r.Complete}
+		if l.Annotated() || r.Annotated() {
+			out.Errs, out.Singular = unionAnnotations(u, l, r)
+		}
+		return out, nil
 
 	case DiffC:
 		l, r, err := e.evalPair(n.L, n.R)
@@ -244,12 +319,19 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 		if err != nil {
 			return URelResult{}, err
 		}
-		return URelResult{Rel: d, Complete: true}, nil
+		out := URelResult{Rel: d, Complete: true}
+		if l.Annotated() || r.Annotated() {
+			out.Errs, out.Singular = diffAnnotations(d, l, r)
+		}
+		return out, nil
 
 	case RepairKey:
 		in, err := e.eval(n.In)
 		if err != nil {
 			return URelResult{}, err
+		}
+		if !in.Errs.IsReliable() {
+			return URelResult{}, fmt.Errorf("algebra: repair-key over unreliable input is not supported (paper footnote 3)")
 		}
 		e.nextRK++
 		prefix := "rk" + strconv.Itoa(e.nextRK)
@@ -264,30 +346,35 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 		if err != nil {
 			return URelResult{}, err
 		}
-		c, err := e.exec.ConfExact(in.Rel, e.db.Vars, n.PCol())
-		if err != nil {
-			return URelResult{}, err
-		}
-		return URelResult{Rel: urel.FromComplete(c), Complete: true}, nil
+		return e.conf.Conf(e.exec, e.db, in, n.PCol())
 
 	case Poss:
 		in, err := e.eval(n.In)
 		if err != nil {
 			return URelResult{}, err
 		}
-		return URelResult{Rel: urel.FromComplete(e.exec.Poss(in.Rel)), Complete: true}, nil
+		return URelResult{Rel: urel.FromComplete(e.exec.Poss(in.Rel)), Complete: true,
+			Errs: in.Errs, Singular: in.Singular}, nil
 
 	case Cert:
 		in, err := e.eval(n.In)
 		if err != nil {
 			return URelResult{}, err
 		}
-		return URelResult{Rel: urel.FromComplete(e.exec.CertExact(in.Rel, e.db.Vars)), Complete: true}, nil
+		// cert is a conf = 1 test — a singularity for approximation
+		// (Example 5.7) — so every backend computes it exactly.
+		return URelResult{Rel: urel.FromComplete(e.exec.CertExact(in.Rel, e.db.Vars)), Complete: true,
+			Errs: in.Errs, Singular: in.Singular}, nil
 
 	case Let:
 		def, err := e.eval(n.Def)
 		if err != nil {
 			return URelResult{}, err
+		}
+		// Base references carry no annotations, so an unreliable binding's
+		// bounds would be lost in the body.
+		if def.Annotated() {
+			return URelResult{}, fmt.Errorf("algebra: let-binding %q of an unreliable relation is not supported; apply σ̂ in the body", n.Name)
 		}
 		oldRel, hadRel := e.db.Rels[n.Name]
 		oldC := e.db.Complete[n.Name]
@@ -308,11 +395,7 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 		if err != nil {
 			return URelResult{}, err
 		}
-		out, err := e.approxSelectExact(in.Rel, n)
-		if err != nil {
-			return URelResult{}, err
-		}
-		return URelResult{Rel: urel.FromComplete(out), Complete: true}, nil
+		return e.conf.ApproxSelect(e.exec, e.db, in, n)
 
 	default:
 		return URelResult{}, fmt.Errorf("algebra: unknown query node %T", q)
@@ -321,10 +404,8 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 
 // evalPair evaluates the two inputs of a binary operator. When the pool
 // has more than one worker, a branch token is available, and both
-// branches are effect-free — no RepairKey (mutates the shared variable
-// table and the rk counter) and no Let (rebinds a name in the shared
-// database) — the branches evaluate concurrently; otherwise strictly
-// left-then-right. Concurrent branches change only wall-clock time: each
+// branches are pure algebra (see branchSafe), the branches evaluate
+// concurrently; otherwise strictly left-then-right. Concurrent branches change only wall-clock time: each
 // branch's own operators are deterministic, the branches share no mutable
 // state, and error priority (left first) matches the sequential path.
 // Cancellation stays at node granularity — every eval call checks the
@@ -368,32 +449,50 @@ func (e *URelEvaluator) evalPair(l, r Query) (URelResult, URelResult, error) {
 }
 
 // branchSafe reports whether a plan branch can run concurrently with a
-// sibling: it must not contain RepairKey (which registers variables in
+// sibling. It must not contain RepairKey (which registers variables in
 // the shared table and consumes the evaluator's deterministic rk counter)
 // or Let (which temporarily rebinds a relation name in the shared
-// database).
+// database). Nor may it contain Conf or ApproxSelect: each already
+// spreads its work across the whole pool (exact per-tuple confidences,
+// or one estimation batch), and a backend's per-evaluation state is
+// single-threaded.
 func branchSafe(q Query) bool {
 	safe := true
 	Walk(q, func(n Query) {
 		switch n.(type) {
-		case RepairKey, Let:
+		case RepairKey, Let, Conf, ApproxSelect:
 			safe = false
 		}
 	})
 	return safe
 }
 
-// approxSelectExact evaluates σ̂ by its defining composition with exact
+// exactConf is the default ConfBackend: exact #P confidence computation.
+type exactConf struct{}
+
+func (exactConf) Conf(x *urel.Exec, db *urel.Database, in URelResult, pcol string) (URelResult, error) {
+	c, err := x.ConfExact(in.Rel, db.Vars, pcol)
+	if err != nil {
+		return URelResult{}, err
+	}
+	return URelResult{Rel: urel.FromComplete(c), Complete: true}, nil
+}
+
+// ApproxSelect evaluates σ̂ by its defining composition with exact
 // confidence computation: this is the Q (as opposed to Q∼) semantics of
 // Section 6.
-func (e *URelEvaluator) approxSelectExact(in *urel.Relation, n ApproxSelect) (*rel.Relation, error) {
-	confRels, err := BuildConfArgs(e.exec, in, n.Args, func(r *urel.Relation, pcol string) (*rel.Relation, error) {
-		return e.exec.ConfExact(r, e.db.Vars, pcol)
+func (exactConf) ApproxSelect(x *urel.Exec, db *urel.Database, in URelResult, n ApproxSelect) (URelResult, error) {
+	confRels, err := BuildConfArgs(x, in.Rel, n.Args, func(r *urel.Relation, pcol string) (*rel.Relation, error) {
+		return x.ConfExact(r, db.Vars, pcol)
 	})
 	if err != nil {
-		return nil, err
+		return URelResult{}, err
 	}
-	return JoinAndFilter(confRels, n)
+	out, err := JoinAndFilter(confRels, n)
+	if err != nil {
+		return URelResult{}, err
+	}
+	return URelResult{Rel: urel.FromComplete(out), Complete: true}, nil
 }
 
 // BuildConfArgs computes, for each conf[Āᵢ] argument, the confidence

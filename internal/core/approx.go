@@ -12,75 +12,96 @@ import (
 	"repro/internal/urel"
 )
 
-// approxConf implements conf_{ε,δ} (Section 4 / Corollary 4.3): the output
-// is a complete relation with an estimated P column; per-tuple membership
+// Conf implements conf_{ε,δ} (Section 4 / Corollary 4.3): the output is
+// a complete relation with an estimated P column; per-tuple membership
 // bounds are inherited from the input (the P value itself carries the
 // (ε,δ) relative-error guarantee). Estimation is fanned out across the
 // engine's worker pool: every tuple becomes a job keyed by its lineage
-// row, so its PRNG streams — and hence its estimate — depend only on
+// content, so its PRNG streams — and hence its estimate — depend only on
 // Options.Seed, not on the worker count or on other tuples.
-func (run *evalRun) approxConf(in *evalResult, pcol string) (*evalResult, error) {
-	if run.engine.opts.stratifiedConf() {
-		return run.approxConfStrat(in, pcol)
-	}
-	if in.rel.Schema().Has(pcol) {
-		return nil, fmt.Errorf("core: conf column %q already in schema %v", pcol, in.rel.Schema())
-	}
-	eps, delta := run.engine.opts.confEps(), run.engine.opts.confDelta()
-	// Stream the lineage groups: one pass builds the estimation jobs and
-	// keeps only (row, value) per distinct tuple — the clause sets flow
-	// straight into the estimators instead of surviving in a second
-	// materialized []TupleConf. Jobs are keyed by lineage content, so
-	// tuples sharing a clause set — within this operator, elsewhere in the
-	// plan, or in an earlier query against a shared engine cache — share
-	// one estimation.
-	type rowConf struct {
-		row rel.Tuple
-		cv  *confValue
+func (run *evalRun) Conf(x *urel.Exec, _ *urel.Database, in algebra.URelResult, pcol string) (algebra.URelResult, error) {
+	if in.Rel.Schema().Has(pcol) {
+		return algebra.URelResult{}, fmt.Errorf("core: conf column %q already in schema %v", pcol, in.Rel.Schema())
 	}
 	var tuples []rowConf
+	var err error
+	if run.engine.opts.stratifiedConf() {
+		tuples, err = run.confStrat(x, in.Rel)
+	} else {
+		tuples, err = run.confFlat(x, in.Rel)
+	}
+	if err != nil {
+		return algebra.URelResult{}, err
+	}
+	return confOutput(in, pcol, tuples), nil
+}
+
+// rowConf is one distinct data tuple of a conf input with its confidence
+// value.
+type rowConf struct {
+	row rel.Tuple
+	cv  *confValue
+}
+
+// confFlat estimates every distinct tuple of r with the flat Karp–Luby
+// estimator at the conf (ε,δ) budget. It streams the lineage groups: one
+// pass builds the estimation jobs and keeps only (row, value) per tuple,
+// so the clause sets flow straight into the estimators. Jobs are keyed by
+// lineage content, so tuples sharing a clause set — within this operator,
+// elsewhere in the plan, or in an earlier query against a shared engine
+// cache — share one estimation.
+func (run *evalRun) confFlat(x *urel.Exec, r *urel.Relation) ([]rowConf, error) {
+	eps, delta := run.engine.opts.confEps(), run.engine.opts.confDelta()
+	var tuples []rowConf
 	var jobs []*estimateJob
-	var jobErr error
 	run.batch = make(map[contentKey]*estimateJob)
 	budget := func(clauses int) int64 { return karpluby.TrialsFor(eps, delta, clauses) }
-	for tc := range run.exec.LineageSeq(in.rel) {
+	for tc := range x.LineageSeq(r) {
 		// The singleton shortcut is always on here: a single clause's
 		// weight is its exact probability (the estimator would return it
 		// deterministically anyway).
 		cv, job, err := run.newJob(tc.F, budget, true)
 		if err != nil {
-			jobErr = err
-			break
+			return nil, err
 		}
 		if job != nil {
 			jobs = append(jobs, job)
 		}
 		tuples = append(tuples, rowConf{row: tc.Row, cv: cv})
 	}
-	if jobErr != nil {
-		return nil, jobErr
-	}
 	if err := run.runEstimates(jobs); err != nil {
 		return nil, err
 	}
-	out := urel.NewRelation(rel.NewSchema(append(in.rel.Schema().Clone(), pcol)...))
-	errs := provenance.Reliable()
-	sing := map[string]bool{}
+	return tuples, nil
+}
+
+// confOutput builds a conf operator's result from its estimated tuples:
+// each row extended by its P value, with the input's bounds and marks
+// carried over to the extended rows when the input is annotated.
+func confOutput(in algebra.URelResult, pcol string, tuples []rowConf) algebra.URelResult {
+	out := urel.NewRelation(rel.NewSchema(append(in.Rel.Schema().Clone(), pcol)...))
+	res := algebra.URelResult{Rel: out, Complete: true}
+	annotated := in.Annotated()
+	if annotated {
+		res.Errs, res.Singular = provenance.Reliable(), map[string]bool{}
+	}
 	for _, t := range tuples {
 		outRow := make(rel.Tuple, len(t.row)+1)
 		copy(outRow, t.row)
 		outRow[len(t.row)] = rel.Float(t.cv.estimate())
 		out.AddOwned(nil, outRow)
-		inKey := t.row.Key()
-		outKey := outRow.Key()
-		if v := in.errs.Get(inKey); v > 0 {
-			errs.Set(outKey, v)
+		if !annotated {
+			continue
 		}
-		if in.singular[inKey] {
-			sing[outKey] = true
+		inKey, outKey := t.row.Key(), outRow.Key()
+		if v := in.Errs.Get(inKey); v > 0 {
+			res.Errs.Set(outKey, v)
+		}
+		if in.Singular[inKey] {
+			res.Singular[outKey] = true
 		}
 	}
-	return &evalResult{rel: out, complete: true, errs: errs, singular: sing}, nil
+	return res
 }
 
 // confValue is one approximable conf[Āᵢ] term of a σ̂ group: either an
@@ -136,13 +157,13 @@ func (cv *confValue) bounds(delta float64) (lo, hi float64) {
 	return cv.est.Bounds(delta)
 }
 
-// approxSelect implements σ̂ under approximation (Definition 6.2): for
+// ApproxSelect implements σ̂ under approximation (Definition 6.2): for
 // every joined combination of the conf arguments' possible tuples, the
 // clause sets are estimated for `rounds` Karp–Luby rounds, the predicate
 // is decided on the estimates with ε = max(ε₀, ε_ψ(p̂)), and the
 // membership error of an emitted tuple is bounded per Lemma 6.4(2) by
 // Σᵢ δᵢ(ε) plus the provenance error of the conf inputs.
-func (run *evalRun) approxSelect(in *evalResult, n algebra.ApproxSelect) (*evalResult, error) {
+func (run *evalRun) ApproxSelect(x *urel.Exec, _ *urel.Database, in algebra.URelResult, n algebra.ApproxSelect) (algebra.URelResult, error) {
 	roundBudget := func(clauses int) int64 { return run.rounds * int64(clauses) }
 	var jobs []*estimateJob
 	var sjobs []*stratJob
@@ -161,41 +182,21 @@ func (run *evalRun) approxSelect(in *evalResult, n algebra.ApproxSelect) (*evalR
 	argSchemas := make([]rel.Schema, len(n.Args))
 	for i, a := range n.Args {
 		for _, attr := range a.Attrs {
-			if !in.rel.Schema().Has(attr) {
-				return nil, fmt.Errorf("core: σ̂ conf attribute %q not in schema %v", attr, in.rel.Schema())
+			if !in.Rel.Schema().Has(attr) {
+				return algebra.URelResult{}, fmt.Errorf("core: σ̂ conf attribute %q not in schema %v", attr, in.Rel.Schema())
 			}
 		}
-		proj := run.exec.Project(in.rel, keepTargets(a.Attrs))
-		// Provenance error of each projected tuple: sum over distinct
-		// input data tuples projecting onto it.
-		provErr := map[string]float64{}
-		provSing := map[string]bool{}
-		seen := map[string]map[string]bool{}
-		attrIdx := make([]int, len(a.Attrs))
-		for j, attr := range a.Attrs {
-			attrIdx[j] = in.rel.Schema().Index(attr)
-		}
-		for _, ut := range in.rel.Tuples() {
-			outRow := make(rel.Tuple, len(attrIdx))
-			for j, idx := range attrIdx {
-				outRow[j] = ut.Row[idx]
-			}
-			ok, ik := outRow.Key(), ut.Row.Key()
-			if seen[ok] == nil {
-				seen[ok] = map[string]bool{}
-			}
-			if seen[ok][ik] {
-				continue
-			}
-			seen[ok][ik] = true
-			provErr[ok] += in.errs.Get(ik)
-			if in.singular[ik] {
-				provSing[ok] = true
-			}
+		targets := keepTargets(a.Attrs)
+		proj := x.Project(in.Rel, targets)
+		// Provenance error of each projected tuple: the projection's
+		// fan-in sum over distinct input data tuples.
+		var provErr provenance.ErrMap
+		var provSing map[string]bool
+		if in.Annotated() {
+			provErr, provSing = algebra.ProjectAnnotations(in, targets)
 		}
 		var tuples []argTuple
-		var jobErr error
-		for tc := range run.exec.LineageSeq(proj) {
+		for tc := range x.LineageSeq(proj) {
 			// The balanced refinement scheme of the end of Section 5:
 			// run.rounds rounds of |F| trials each. NoSingletonShortcut
 			// forces even single-clause lineages through the estimator
@@ -218,15 +219,14 @@ func (run *evalRun) approxSelect(in *evalResult, n algebra.ApproxSelect) (*evalR
 				}
 			}
 			if err != nil {
-				jobErr = err
-				break
+				return algebra.URelResult{}, err
 			}
-			cv.provErr = provErr[tc.Row.Key()]
-			cv.singular = provSing[tc.Row.Key()]
+			if provErr != nil {
+				k := tc.Row.Key()
+				cv.provErr = provErr.Get(k)
+				cv.singular = provSing[k]
+			}
 			tuples = append(tuples, argTuple{row: tc.Row, cv: cv, attr: proj.Schema()})
-		}
-		if jobErr != nil {
-			return nil, jobErr
 		}
 		argTuples[i] = tuples
 		argSchemas[i] = proj.Schema()
@@ -236,10 +236,10 @@ func (run *evalRun) approxSelect(in *evalResult, n algebra.ApproxSelect) (*evalR
 	// worker busy across argument boundaries.
 	if strat {
 		if err := run.runStratEstimates(sjobs, stratTarget{adaptive: false}); err != nil {
-			return nil, err
+			return algebra.URelResult{}, err
 		}
 	} else if err := run.runEstimates(jobs); err != nil {
-		return nil, err
+		return algebra.URelResult{}, err
 	}
 
 	// Output schema: union of argument attributes in order of first
@@ -265,10 +265,11 @@ func (run *evalRun) approxSelect(in *evalResult, n algebra.ApproxSelect) (*evalR
 
 	// Enumerate natural-join combinations of the argument tuples.
 	combo := make([]argTuple, len(n.Args))
-	var emit func(i int, bound map[string]rel.Value) error
-	emit = func(i int, bound map[string]rel.Value) error {
+	var emit func(i int, bound map[string]rel.Value)
+	emit = func(i int, bound map[string]rel.Value) {
 		if i == len(n.Args) {
-			return run.decideCombo(n, combo, outAttrs, bound, out, errs, sing)
+			run.decideCombo(n, combo, outAttrs, bound, out, errs, sing)
+			return
 		}
 		for _, at := range argTuples[i] {
 			merged, ok := mergeBindings(bound, at.attr, at.row)
@@ -276,16 +277,11 @@ func (run *evalRun) approxSelect(in *evalResult, n algebra.ApproxSelect) (*evalR
 				continue
 			}
 			combo[i] = at
-			if err := emit(i+1, merged); err != nil {
-				return err
-			}
+			emit(i+1, merged)
 		}
-		return nil
 	}
-	if err := emit(0, map[string]rel.Value{}); err != nil {
-		return nil, err
-	}
-	return &evalResult{rel: out, complete: true, errs: errs, singular: sing}, nil
+	emit(0, map[string]rel.Value{})
+	return algebra.URelResult{Rel: out, Complete: true, Errs: errs, Singular: sing}, nil
 }
 
 // argTuple is one possible tuple of a σ̂ conf argument together with its
@@ -327,7 +323,7 @@ func mergeBindings(bound map[string]rel.Value, schema rel.Schema, row rel.Tuple)
 // decideCombo decides the σ̂ predicate for one joined combination and
 // emits the tuple when the decision is positive, recording its error
 // bound: Σᵢ δᵢ(max(ε_φ, ε₀)) + Σᵢ provenance errors (Lemma 6.4(2)).
-func (run *evalRun) decideCombo(n algebra.ApproxSelect, combo []argTuple, outAttrs []string, bound map[string]rel.Value, out *urel.Relation, errs provenance.ErrMap, sing map[string]bool) error {
+func (run *evalRun) decideCombo(n algebra.ApproxSelect, combo []argTuple, outAttrs []string, bound map[string]rel.Value, out *urel.Relation, errs provenance.ErrMap, sing map[string]bool) {
 	run.decisions++
 	k := len(combo)
 	est := make([]float64, k)
@@ -360,7 +356,7 @@ func (run *evalRun) decideCombo(n algebra.ApproxSelect, combo []argTuple, outAtt
 		if singular {
 			run.singularDrops++
 		}
-		return nil
+		return
 	}
 	row := make(rel.Tuple, 0, len(outAttrs)+k)
 	for _, a := range outAttrs {
@@ -370,12 +366,13 @@ func (run *evalRun) decideCombo(n algebra.ApproxSelect, combo []argTuple, outAtt
 		row = append(row, rel.Float(est[i]))
 	}
 	out.Add(nil, row)
-	key := row.Key()
-	if tupleBound > 0 {
-		errs.Set(key, tupleBound)
+	if tupleBound > 0 || singular {
+		key := row.Key()
+		if tupleBound > 0 {
+			errs.Set(key, tupleBound)
+		}
+		if singular {
+			sing[key] = true
+		}
 	}
-	if singular {
-		sing[key] = true
-	}
-	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/algebra"
@@ -348,19 +349,33 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
+// Unreliable input is rejected where its error bounds could not flow on:
+// into repair-key (paper footnote 3; caught when the plan is validated)
+// and into a let binding, whose Base references carry no bounds.
 func TestRepairKeyOverUnreliableRejected(t *testing.T) {
-	db, _ := sensorDB([]float64{0.9})
-	q := algebra.RepairKey{
-		In: algebra.ApproxSelect{
-			In:   algebra.Base{Name: "R"},
-			Args: []algebra.ConfArg{{Attrs: []string{"ID"}}},
-			Pred: predapprox.Linear([]float64{1}, 0.5),
-		},
-		Weight: "P1",
+	// Multi-clause lineage, so σ̂ decisions carry non-zero bounds.
+	db := clusterDB(3, 3)
+	shat := algebra.ApproxSelect{
+		In:   algebra.Base{Name: "R"},
+		Args: []algebra.ConfArg{{Attrs: []string{"ID"}}},
+		Pred: predapprox.Linear([]float64{1}, 0.5),
 	}
-	eng := NewEngine(db, Options{Eps0: 0.05, Delta: 0.1})
-	if _, err := eng.EvalApprox(q); err == nil {
-		t.Error("repair-key above σ̂ must be rejected")
+	cases := []struct {
+		name string
+		q    algebra.Query
+		want string
+	}{
+		{"repair-key above σ̂", algebra.RepairKey{In: shat, Weight: "P1"},
+			"is not supported (paper footnote 3)"},
+		{"let-binding of σ̂", algebra.Let{Name: "S", Def: shat, In: algebra.Base{Name: "S"}},
+			`let-binding "S" of an unreliable relation is not supported`},
+	}
+	for _, c := range cases {
+		eng := NewEngine(db, Options{Eps0: 0.05, Delta: 0.1})
+		_, err := eng.EvalApprox(c.q)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want it to mention %q", c.name, err, c.want)
+		}
 	}
 }
 

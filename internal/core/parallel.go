@@ -92,10 +92,10 @@ func (run *evalRun) newJob(f dnf.F, trials func(clauses int) int64, shortcutSing
 	case len(f[0]) == 0:
 		return &confValue{exact: true, value: 1}, nil, nil
 	case len(f) == 1 && shortcutSingleton:
-		return &confValue{exact: true, value: f[0].Weight(run.db.Vars)}, nil, nil
+		return &confValue{exact: true, value: f[0].Weight(run.vars)}, nil, nil
 	}
 	if run.fper == nil {
-		run.fper = newFingerprinter(run.db.Vars)
+		run.fper = newFingerprinter(run.vars)
 	}
 	f, key := run.fper.canonicalF(f)
 	if shared, ok := run.batch[key]; ok {
@@ -104,7 +104,7 @@ func (run *evalRun) newJob(f dnf.F, trials func(clauses int) int64, shortcutSing
 		// same total), estimate once.
 		return &confValue{est: shared.est}, nil, nil
 	}
-	est, err := karpluby.NewEstimator(f, run.db.Vars, nil)
+	est, err := karpluby.NewEstimator(f, run.vars, nil)
 	if err != nil {
 		return nil, nil, err
 	}

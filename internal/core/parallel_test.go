@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/expr"
 	"repro/internal/karpluby"
 	"repro/internal/predapprox"
 	"repro/internal/rel"
@@ -58,13 +59,26 @@ func resultFingerprint(t *testing.T, r *Result) []string {
 // for every worker count, on both conf and σ̂ plans.
 func TestWorkersBitIdentical(t *testing.T) {
 	db := clusterDB(12, 4)
+	r, id := algebra.Base{Name: "R"}, expr.A("ID")
 	queries := map[string]algebra.Query{
-		"conf": algebra.Conf{In: algebra.Base{Name: "R"}},
+		"conf": algebra.Conf{In: r},
 		"shat": algebra.ApproxSelect{
-			In:   algebra.Base{Name: "R"},
+			In:   r,
 			Args: []algebra.ConfArg{{Attrs: []string{"ID"}}},
 			Pred: predapprox.Linear([]float64{1}, 0.5),
 		},
+		// Branches holding conf evaluate one after the other; each conf
+		// spreads its estimation batch across the pool.
+		"join-of-confs": algebra.Join{
+			L: algebra.Conf{In: algebra.Select{In: r, Pred: expr.Lt(id, expr.CInt(8))}, As: "PL"},
+			R: algebra.Conf{In: algebra.Select{In: r, Pred: expr.Ge(id, expr.CInt(3))}, As: "PR"},
+		},
+		// Pure-algebra branches evaluate concurrently at workers > 1.
+		"conf-of-branch-join": algebra.Conf{In: algebra.Join{
+			L: algebra.Select{In: r, Pred: expr.Lt(id, expr.CInt(9))},
+			R: algebra.Project{In: algebra.Select{In: r, Pred: expr.Ge(id, expr.CInt(2))},
+				Targets: []expr.Target{expr.Keep("ID")}},
+		}},
 	}
 	for name, q := range queries {
 		var want []string

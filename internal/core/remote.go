@@ -43,7 +43,7 @@ func (run *evalRun) runEstimatesRemote(jobs []*estimateJob) error {
 			Seed:      j.seed,
 			ChunkSize: j.chunkSize,
 			Clauses:   j.f,
-			Vars:      run.db.Vars,
+			Vars:      run.vars,
 			Chunks:    chunks,
 		})
 		active = append(active, j)
@@ -126,7 +126,7 @@ func (run *evalRun) remoteStratWave(ctx context.Context, tasks []stratTask) erro
 			MaxStrata: g.j.maxStrata,
 			Stratum:   g.s,
 			Clauses:   g.j.f,
-			Vars:      run.db.Vars,
+			Vars:      run.vars,
 			Chunks:    chunks[g],
 		}
 	}

@@ -3,14 +3,12 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"sync"
 
 	"repro/internal/dnf"
 	"repro/internal/karpluby"
-	"repro/internal/provenance"
 	"repro/internal/rel"
 	"repro/internal/sched"
 	"repro/internal/urel"
@@ -111,18 +109,18 @@ func (run *evalRun) newStratJob(f dnf.F, trials func(clauses int) int64, shortcu
 	case len(f[0]) == 0:
 		return &confValue{exact: true, value: 1}, nil, nil
 	}
-	fac := dnf.Factor(f, run.db.Vars, dnf.DefaultFactorLimits)
+	fac := dnf.Factor(f, run.vars, dnf.DefaultFactorLimits)
 	run.exactFactored += int64(fac.ExactComponents)
 	res := fac.Residue
 	switch {
 	case len(res) == 0:
 		return &confValue{exact: true, value: fac.Exact}, nil, nil
 	case len(res) == 1 && shortcutSingleton:
-		v := fac.Exact + (1-fac.Exact)*res[0].Weight(run.db.Vars)
+		v := fac.Exact + (1-fac.Exact)*res[0].Weight(run.vars)
 		return &confValue{exact: true, value: v}, nil, nil
 	}
 	if run.fper == nil {
-		run.fper = newFingerprinter(run.db.Vars)
+		run.fper = newFingerprinter(run.vars)
 	}
 	res, key := run.fper.canonicalF(res)
 	if shared, ok := run.sbatch[key]; ok {
@@ -131,8 +129,8 @@ func (run *evalRun) newStratJob(f dnf.F, trials func(clauses int) int64, shortcu
 		return cv, nil, nil
 	}
 	maxStrata := run.engine.opts.strataCount()
-	plan := karpluby.PlanStrata(res, run.db.Vars, maxStrata)
-	est, err := karpluby.NewStratified(res, run.db.Vars, plan)
+	plan := karpluby.PlanStrata(res, run.vars, maxStrata)
+	est, err := karpluby.NewStratified(res, run.vars, plan)
 	if err != nil {
 		if errors.Is(err, karpluby.ErrEmpty) {
 			// Zero-weight residue: its confidence is exactly 0.
@@ -436,41 +434,29 @@ func minActiveChunk(j *stratJob) int64 {
 	return min
 }
 
-// approxConfStrat is approxConf on the stratified path: same contract
-// (complete output relation with an estimated P column), different
-// estimation machinery — factoring pre-pass, per-stratum Neyman waves,
+// confStrat is confFlat on the stratified path: same contract (one
+// confidence value per distinct tuple of r), different estimation
+// machinery — factoring pre-pass, per-stratum Neyman waves,
 // empirical-Bernstein stopping, and optional threshold/top-k early
 // stopping. Threshold/top-k never filter the output: every tuple still
 // appears with its estimate; the options only govern how much sampling
 // effort a tuple receives once its decision is settled.
-func (run *evalRun) approxConfStrat(in *evalResult, pcol string) (*evalResult, error) {
-	if in.rel.Schema().Has(pcol) {
-		return nil, fmt.Errorf("core: conf column %q already in schema %v", pcol, in.rel.Schema())
-	}
+func (run *evalRun) confStrat(x *urel.Exec, r *urel.Relation) ([]rowConf, error) {
 	opts := run.engine.opts
 	eps, delta := opts.confEps(), opts.confDelta()
-	type rowConf struct {
-		row rel.Tuple
-		cv  *confValue
-	}
 	var tuples []rowConf
 	var jobs []*stratJob
-	var jobErr error
 	run.sbatch = make(map[contentKey]*stratJob)
 	budget := func(clauses int) int64 { return karpluby.TrialsFor(eps, delta, clauses) }
-	for tc := range run.exec.LineageSeq(in.rel) {
+	for tc := range x.LineageSeq(r) {
 		cv, job, err := run.newStratJob(tc.F, budget, true)
 		if err != nil {
-			jobErr = err
-			break
+			return nil, err
 		}
 		if job != nil {
 			jobs = append(jobs, job)
 		}
 		tuples = append(tuples, rowConf{row: tc.Row, cv: cv})
-	}
-	if jobErr != nil {
-		return nil, jobErr
 	}
 	tgt := stratTarget{adaptive: true, eps: eps, delta: delta}
 	if opts.ConfThreshold > 0 || opts.ConfTopK > 0 {
@@ -483,24 +469,7 @@ func (run *evalRun) approxConfStrat(in *evalResult, pcol string) (*evalResult, e
 	if err := run.runStratEstimates(jobs, tgt); err != nil {
 		return nil, err
 	}
-	out := urel.NewRelation(rel.NewSchema(append(in.rel.Schema().Clone(), pcol)...))
-	errs := provenance.Reliable()
-	sing := map[string]bool{}
-	for _, t := range tuples {
-		outRow := make(rel.Tuple, len(t.row)+1)
-		copy(outRow, t.row)
-		outRow[len(t.row)] = rel.Float(t.cv.estimate())
-		out.AddOwned(nil, outRow)
-		inKey := t.row.Key()
-		outKey := outRow.Key()
-		if v := in.errs.Get(inKey); v > 0 {
-			errs.Set(outKey, v)
-		}
-		if in.singular[inKey] {
-			sing[outKey] = true
-		}
-	}
-	return &evalResult{rel: out, complete: true, errs: errs, singular: sing}, nil
+	return tuples, nil
 }
 
 // confDecider builds the wave-boundary early-stopping hook for threshold

@@ -15,16 +15,16 @@ import (
 // Annotated reports whether r carries any error bound or singularity mark.
 func (r URelResult) Annotated() bool { return len(r.Errs) > 0 || len(r.Singular) > 0 }
 
-// selectAnnotations implements (t, σ_φ(R)) ≺ (t, R): a surviving tuple
-// keeps its input's bound and mark.
-func selectAnnotations(out *urel.Relation, in URelResult) (provenance.ErrMap, map[string]bool) {
+// perTuple annotates each tuple of out by its data key: bound(k) is its
+// error bound and singular(k) its singularity mark.
+func perTuple(out *urel.Relation, bound func(k string) float64, singular func(k string) bool) (provenance.ErrMap, map[string]bool) {
 	errs, sing := provenance.Reliable(), map[string]bool{}
 	for _, ut := range out.Tuples() {
 		k := ut.Row.Key()
-		if v := in.Errs.Get(k); v > 0 {
+		if v := bound(k); v > 0 {
 			errs.Set(k, v)
 		}
-		if in.Singular[k] {
+		if singular(k) {
 			sing[k] = true
 		}
 	}
@@ -77,42 +77,6 @@ func pairAnnotations(out *urel.Relation, l, r URelResult, split func(rel.Tuple) 
 			errs.Set(k, v)
 		}
 		if l.Singular[lk] || r.Singular[rk] {
-			sing[k] = true
-		}
-	}
-	return errs, sing
-}
-
-// unionAnnotations implements (t, R ∪ S) ≺ both: the two sides' bounds add.
-func unionAnnotations(out *urel.Relation, l, r URelResult) (provenance.ErrMap, map[string]bool) {
-	errs, sing := provenance.Reliable(), map[string]bool{}
-	for _, ut := range out.Tuples() {
-		k := ut.Row.Key()
-		if v := l.Errs.Get(k) + r.Errs.Get(k); v > 0 {
-			errs.Set(k, v)
-		}
-		if l.Singular[k] || r.Singular[k] {
-			sing[k] = true
-		}
-	}
-	return errs, sing
-}
-
-// diffAnnotations bounds −c, which is outside the positive fragment of
-// Lemma 6.4: each result tuple adds the right side's worst bound to its
-// own, since a right tuple wrongly present or absent can flip a left
-// tuple's membership. Any singular right tuple makes every result tuple
-// singular.
-func diffAnnotations(out *urel.Relation, l, r URelResult) (provenance.ErrMap, map[string]bool) {
-	errs, sing := provenance.Reliable(), map[string]bool{}
-	rWorst := r.Errs.Max()
-	rSingular := len(r.Singular) > 0
-	for _, ut := range out.Tuples() {
-		k := ut.Row.Key()
-		if v := l.Errs.Get(k) + rWorst; v > 0 {
-			errs.Set(k, v)
-		}
-		if l.Singular[k] || rSingular {
 			sing[k] = true
 		}
 	}

@@ -237,7 +237,8 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 		out := URelResult{Rel: e.exec.Select(in.Rel, n.Pred), Complete: in.Complete}
 		if in.Annotated() {
 			// (t, σ_φ(R)) ≺ (t, R): bounds carry over for surviving tuples.
-			out.Errs, out.Singular = selectAnnotations(out.Rel, in)
+			out.Errs, out.Singular = perTuple(out.Rel, in.Errs.Get,
+				func(k string) bool { return in.Singular[k] })
 		}
 		return out, nil
 
@@ -303,7 +304,10 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 		}
 		out := URelResult{Rel: u, Complete: l.Complete && r.Complete}
 		if l.Annotated() || r.Annotated() {
-			out.Errs, out.Singular = unionAnnotations(u, l, r)
+			// (t, R ∪ S) ≺ both: the two sides' bounds add.
+			out.Errs, out.Singular = perTuple(u,
+				func(k string) float64 { return l.Errs.Get(k) + r.Errs.Get(k) },
+				func(k string) bool { return l.Singular[k] || r.Singular[k] })
 		}
 		return out, nil
 
@@ -321,7 +325,15 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 		}
 		out := URelResult{Rel: d, Complete: true}
 		if l.Annotated() || r.Annotated() {
-			out.Errs, out.Singular = diffAnnotations(d, l, r)
+			// −c is outside the positive fragment of Lemma 6.4: a right
+			// tuple wrongly present or absent can flip any left tuple's
+			// membership, so each result tuple adds the right side's worst
+			// bound, and any singular right tuple makes every result
+			// tuple singular.
+			rWorst, rSingular := r.Errs.Max(), len(r.Singular) > 0
+			out.Errs, out.Singular = perTuple(d,
+				func(k string) float64 { return l.Errs.Get(k) + rWorst },
+				func(k string) bool { return l.Singular[k] || rSingular })
 		}
 		return out, nil
 
@@ -480,46 +492,28 @@ func (exactConf) Conf(x *urel.Exec, db *urel.Database, in URelResult, pcol strin
 
 // ApproxSelect evaluates σ̂ by its defining composition with exact
 // confidence computation: this is the Q (as opposed to Q∼) semantics of
-// Section 6.
+// Section 6. Each conf[Āᵢ] argument becomes ρ_{P→Pi}(conf(π_{Āᵢ}(in))).
 func (exactConf) ApproxSelect(x *urel.Exec, db *urel.Database, in URelResult, n ApproxSelect) (URelResult, error) {
-	confRels, err := BuildConfArgs(x, in.Rel, n.Args, func(r *urel.Relation, pcol string) (*rel.Relation, error) {
-		return x.ConfExact(r, db.Vars, pcol)
-	})
-	if err != nil {
-		return URelResult{}, err
+	confRels := make([]*rel.Relation, len(n.Args))
+	for i, a := range n.Args {
+		targets := make([]expr.Target, len(a.Attrs))
+		for j, attr := range a.Attrs {
+			if !in.Rel.Schema().Has(attr) {
+				return URelResult{}, fmt.Errorf("algebra: σ̂ conf attribute %q not in schema %v", attr, in.Rel.Schema())
+			}
+			targets[j] = expr.Keep(attr)
+		}
+		c, err := x.ConfExact(x.Project(in.Rel, targets), db.Vars, PColName(i))
+		if err != nil {
+			return URelResult{}, err
+		}
+		confRels[i] = c
 	}
 	out, err := JoinAndFilter(confRels, n)
 	if err != nil {
 		return URelResult{}, err
 	}
 	return URelResult{Rel: urel.FromComplete(out), Complete: true}, nil
-}
-
-// BuildConfArgs computes, for each conf[Āᵢ] argument, the confidence
-// relation ρ_{P→Pi}(conf(π_{Āᵢ}(in))) using the supplied conf
-// implementation (exact or approximate), with the projections routed
-// through x (nil selects a sequential Exec).
-func BuildConfArgs(x *urel.Exec, in *urel.Relation, args []ConfArg, conf func(*urel.Relation, string) (*rel.Relation, error)) ([]*rel.Relation, error) {
-	if x == nil {
-		x = urel.NewExec(nil, nil)
-	}
-	out := make([]*rel.Relation, len(args))
-	for i, a := range args {
-		targets := make([]expr.Target, len(a.Attrs))
-		for j, attr := range a.Attrs {
-			if !in.Schema().Has(attr) {
-				return nil, fmt.Errorf("algebra: σ̂ conf attribute %q not in schema %v", attr, in.Schema())
-			}
-			targets[j] = expr.Keep(attr)
-		}
-		proj := x.Project(in, targets)
-		c, err := conf(proj, PColName(i))
-		if err != nil {
-			return nil, err
-		}
-		out[i] = c
-	}
-	return out, nil
 }
 
 // PColName returns the confidence column name for σ̂ argument i: P1, P2, …

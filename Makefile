@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-json conformance fuzz vet fmt-check docs-check links-check examples service-smoke cluster-smoke chaos-smoke storage-smoke ci
+.PHONY: build test race bench bench-json conformance fuzz vet fmt-check docs-check links-check examples perfbench-test service-smoke cluster-smoke chaos-smoke storage-smoke ci
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,12 @@ examples:
 		echo "== running $$d"; \
 		$(GO) run ./$$d > /dev/null; \
 	done
+
+# Vet and test the benchmark harness. perfbench is a separate module
+# (replace repro => ../), so `go test ./...` never compiles it, yet it
+# imports the algebra/core/pdb APIs and must break loudly when they move.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Race-check everything: the scheduler, the mergeable estimator, the
 # parallel engine, the shared cross-query engine cache, and the HTTP
@@ -102,4 +108,4 @@ docs-check:
 links-check:
 	./scripts/check-links.sh
 
-ci: vet fmt-check docs-check links-check build test race fuzz examples service-smoke cluster-smoke chaos-smoke storage-smoke
+ci: vet fmt-check docs-check links-check build test perfbench-test race fuzz examples service-smoke cluster-smoke chaos-smoke storage-smoke

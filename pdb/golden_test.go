@@ -4,10 +4,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/cluster"
 )
 
 // update rewrites testdata/golden.txt from the current engine instead of
@@ -28,9 +31,22 @@ var goldenQueries = []string{
 	`project[sensor, room](union(join(sensors, rooms), join(sensors, rooms)));`,
 }
 
+// goldenSkewQueries run over skewDB (scenario_test.go). Every group's
+// lineage is one connected 12-clause component whose clause weights span
+// several bands, so dnf.Factor leaves it as a residue and the stratified
+// modes really sample: adaptive conf waves, threshold early stops, and
+// σ̂ passes across restarts (group 1 sits near the 0.05 cut).
+var goldenSkewQueries = []string{
+	`conf as P (project[Grp](product(R, S)));`,
+	`aselect[p1 >= 0.05 over conf[Grp]](project[Grp](product(R, S)));`,
+}
+
 // goldenModes are the evaluation paths the fingerprints pin: exact, flat
-// Karp–Luby, stratified, and out-of-core exact. Sampling modes use fixed
-// seeds, so a change to any PRNG stream shows up as an explicit diff.
+// Karp–Luby, stratified (plain, with a threshold early stop, and at a
+// tight δ whose σ̂ passes span several chunks, so they run doubling waves
+// and resume chunk-aligned counts across restarts), and out-of-core
+// exact. Sampling modes use fixed seeds, so a change to any PRNG stream
+// shows up as an explicit diff.
 var goldenModes = []struct {
 	name  string
 	exact bool
@@ -39,51 +55,100 @@ var goldenModes = []struct {
 	{"exact", true, func(string) []Option { return nil }},
 	{"flat", false, func(string) []Option { return []Option{WithSeed(7)} }},
 	{"strata4", false, func(string) []Option { return []Option{WithSeed(7), WithStrata(4)} }},
+	{"strata4-tau", false, func(string) []Option { return []Option{WithSeed(7), WithStrata(4), WithThreshold(0.3)} }},
+	{"strata4-tight", false, func(string) []Option { return []Option{WithSeed(7), WithStrata(4), WithDelta(1e-9)} }},
 	{"exact-spilled", true, func(dir string) []Option {
 		return []Option{WithMaxMemory(300), WithSpillDir(dir)}
 	}},
 }
 
+// clusteredModes are the sampling modes rerun through an in-process
+// two-shard cluster. Their rows, bounds and singularity marks must equal
+// the single-node lines; their stats are not recorded, because remote
+// dispatch re-samples mid-chunk tails instead of continuing them.
+var clusteredModes = []string{"flat", "strata4", "strata4-tight"}
+
 // TestGoldenFingerprints compares every (mode, query) result — rows with
 // their error bounds and singularity marks, plus the deterministic
 // evaluation statistics — against testdata/golden.txt byte for byte.
 func TestGoldenFingerprints(t *testing.T) {
-	db, err := Open(map[string]string{
+	sensors, err := Open(map[string]string{
 		"sensors": filepath.Join("..", "examples", "data", "sensors.csv"),
 		"rooms":   filepath.Join("..", "examples", "data", "rooms.csv"),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sets := []struct {
+		label   string
+		db      *DB
+		queries []string
+	}{
+		{"q", sensors, goldenQueries},
+		{"skew", skewDB(t), goldenSkewQueries},
+	}
 	ctx := context.Background()
 	var sb strings.Builder
+	// bodies holds each single-node sampling block (rows and bounds, no
+	// stats) for the clustered comparison below.
+	bodies := map[string]string{}
 	for _, m := range goldenModes {
-		for i, src := range goldenQueries {
-			q, err := db.Prepare(src)
-			if err != nil {
-				t.Fatalf("query %d: %v", i, err)
-			}
-			opts := m.opts(t.TempDir())
-			var res *Result
-			if m.exact {
-				res, err = q.EvalExact(ctx, opts...)
-			} else {
-				res, err = q.Eval(ctx, opts...)
-			}
-			if err != nil {
-				t.Fatalf("%s query %d: %v", m.name, i, err)
-			}
-			s := res.Stats()
-			fmt.Fprintf(&sb, "== %s q%d rounds=%d restarts=%d sampled=%d reused=%d decisions=%d singular-drops=%d strata=%d early=%d factored=%d spilled=%d/%d\n",
-				m.name, i, s.FinalRounds, s.Restarts, s.SampledTrials, s.ReusedTrials,
-				s.Decisions, s.SingularDrops, s.Strata, s.EarlyStops, s.ExactFactored,
-				s.SpilledBytes, s.SpillFiles)
-			sb.WriteString(fingerprint(res))
-			// Row.String rounds bounds to four digits; pin them exactly.
-			for row := range res.Rows() {
-				if row.ErrorBound() > 0 {
-					fmt.Fprintf(&sb, "µ %v\n", row.ErrorBound())
+		for _, set := range sets {
+			for i, src := range set.queries {
+				q, err := set.db.Prepare(src)
+				if err != nil {
+					t.Fatalf("%s%d: %v", set.label, i, err)
 				}
+				opts := m.opts(t.TempDir())
+				var res *Result
+				if m.exact {
+					res, err = q.EvalExact(ctx, opts...)
+				} else {
+					res, err = q.Eval(ctx, opts...)
+				}
+				if err != nil {
+					t.Fatalf("%s %s%d: %v", m.name, set.label, i, err)
+				}
+				s := res.Stats()
+				fmt.Fprintf(&sb, "== %s %s%d rounds=%d restarts=%d sampled=%d reused=%d decisions=%d singular-drops=%d strata=%d early=%d factored=%d spilled=%d/%d\n",
+					m.name, set.label, i, s.FinalRounds, s.Restarts, s.SampledTrials, s.ReusedTrials,
+					s.Decisions, s.SingularDrops, s.Strata, s.EarlyStops, s.ExactFactored,
+					s.SpilledBytes, s.SpillFiles)
+				body := goldenBody(res)
+				sb.WriteString(body)
+				bodies[fmt.Sprintf("%s %s%d", m.name, set.label, i)] = body
+			}
+		}
+	}
+	peers := startGoldenShards(t, 2)
+	for _, name := range clusteredModes {
+		var opts []Option
+		for _, m := range goldenModes {
+			if m.name == name {
+				opts = m.opts("")
+			}
+		}
+		for _, set := range sets {
+			for i, src := range set.queries {
+				eng, err := set.db.Engine(WithEngineCluster(ClusterOptions{Peers: peers}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				q, err := eng.Prepare(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := q.Eval(ctx, opts...)
+				eng.Close()
+				if err != nil {
+					t.Fatalf("%s-2shard %s%d: %v", name, set.label, i, err)
+				}
+				body := goldenBody(res)
+				if want := bodies[fmt.Sprintf("%s %s%d", name, set.label, i)]; body != want {
+					t.Errorf("%s %s%d: two-shard rows differ from single node\n got: %q\nwant: %q", name, set.label, i, body, want)
+				}
+				fmt.Fprintf(&sb, "== %s-2shard %s%d\n", name, set.label, i)
+				sb.WriteString(body)
 			}
 		}
 	}
@@ -117,4 +182,36 @@ func TestGoldenFingerprints(t *testing.T) {
 			}
 		}
 	}
+}
+
+// goldenBody renders a result's rows with their rounded bounds and
+// singularity marks, then every positive bound exactly (Row.String
+// rounds bounds to four digits).
+func goldenBody(res *Result) string {
+	var sb strings.Builder
+	sb.WriteString(fingerprint(res))
+	for row := range res.Rows() {
+		if row.ErrorBound() > 0 {
+			fmt.Fprintf(&sb, "µ %v\n", row.ErrorBound())
+		}
+	}
+	return sb.String()
+}
+
+// startGoldenShards boots n in-process shard servers on loopback and
+// returns their addresses; test cleanup closes them.
+func startGoldenShards(t *testing.T, n int) []string {
+	t.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		sh := cluster.NewShard(cluster.ShardConfig{Workers: 2})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = ln.Addr().String()
+		go sh.Serve(ln)
+		t.Cleanup(func() { sh.Close() })
+	}
+	return addrs
 }

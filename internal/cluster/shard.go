@@ -243,52 +243,22 @@ func (s *Shard) serveConn(conn net.Conn) {
 	}
 }
 
-// sampler abstracts the flat/stratified shard estimator for one task.
-type sampler interface {
-	sampleChunk(rng *rand.Rand, n int64) (hits int64)
-}
-
-type flatSampler struct{ est *karpluby.Estimator }
-
-func (f flatSampler) sampleChunk(rng *rand.Rand, n int64) int64 {
-	sh := f.est.Shard(rng)
-	sh.Add(int(n))
-	return sh.Hits()
-}
-
-type stratSampler struct {
-	est     *karpluby.Stratified
-	stratum int
-}
-
-func (s stratSampler) sampleChunk(rng *rand.Rand, n int64) int64 {
-	sh := s.est.Shard(s.stratum, rng)
-	sh.Add(int(n))
-	return sh.Hits()
-}
-
 // build reconstructs the estimator for one wire task. The restored table
 // carries the coordinator's probabilities bit-for-bit and the clause set
-// arrives in canonical order, so every derived quantity — clause weights,
-// the cumulative distribution, the name-sorted variable order that drives
-// PRNG consumption — matches the coordinator's exactly.
-func (t *wireTask) build() (sampler, error) {
-	if t.maxStrata > 0 {
-		plan := karpluby.PlanStrata(t.clauses, t.table, t.maxStrata)
-		est, err := karpluby.NewStratified(t.clauses, t.table, plan)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: rebuilding stratified estimator: %w", err)
-		}
-		if t.stratum >= est.StratumCount() {
-			return nil, fmt.Errorf("cluster: stratum %d out of %d", t.stratum, est.StratumCount())
-		}
-		return stratSampler{est: est, stratum: t.stratum}, nil
-	}
-	est, err := karpluby.NewEstimator(t.clauses, t.table, nil)
+// arrives in canonical order, so every derived quantity — the
+// stratification plan, clause weights, the cumulative distribution, the
+// name-sorted variable order that drives PRNG consumption — matches the
+// coordinator's exactly. A flat task (MaxStrata 0) plans one stratum,
+// whose chunk streams are the flat estimator's.
+func (t *wireTask) build() (*karpluby.Stratified, error) {
+	est, err := karpluby.NewStratified(t.clauses, t.table, karpluby.PlanStrata(t.clauses, t.table, t.maxStrata))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: rebuilding estimator: %w", err)
 	}
-	return flatSampler{est: est}, nil
+	if t.stratum >= est.StratumCount() {
+		return nil, fmt.Errorf("cluster: stratum %d out of %d", t.stratum, est.StratumCount())
+	}
+	return est, nil
 }
 
 // sample executes one task batch: every (task, chunk) pair fans out
@@ -298,13 +268,13 @@ func (t *wireTask) build() (sampler, error) {
 func (s *Shard) sample(tasks []wireTask) ([]core.RemoteCounts, error) {
 	s.requests.Add(1)
 	s.tasks.Add(int64(len(tasks)))
-	samplers := make([]sampler, len(tasks))
+	ests := make([]*karpluby.Stratified, len(tasks))
 	for i := range tasks {
-		sm, err := tasks[i].build()
+		est, err := tasks[i].build()
 		if err != nil {
 			return nil, err
 		}
-		samplers[i] = sm
+		ests[i] = est
 	}
 	type unit struct {
 		task  int
@@ -335,7 +305,9 @@ func (s *Shard) sample(tasks []wireTask) ([]core.RemoteCounts, error) {
 		hits, reused := s.cachedHits(key, len(t.clauses))
 		if !reused {
 			rng := rand.New(rand.NewSource(sched.ChunkSeed(t.seed, u.chunk.Index)))
-			hits = samplers[u.task].sampleChunk(rng, u.chunk.N)
+			sh := ests[u.task].Shard(t.stratum, rng)
+			sh.Add(int(u.chunk.N))
+			hits = sh.Hits()
 			s.chunksSampled.Add(1)
 			s.trialsSampled.Add(u.chunk.N)
 			s.storeHits(key, len(t.clauses), hits)

@@ -15,22 +15,50 @@ import (
 // Conf implements conf_{ε,δ} (Section 4 / Corollary 4.3): the output is
 // a complete relation with an estimated P column; per-tuple membership
 // bounds are inherited from the input (the P value itself carries the
-// (ε,δ) relative-error guarantee). Estimation is fanned out across the
-// engine's worker pool: every tuple becomes a job keyed by its lineage
-// content, so its PRNG streams — and hence its estimate — depend only on
-// Options.Seed, not on the worker count or on other tuples.
+// (ε,δ) relative-error guarantee). Every distinct tuple becomes an
+// estimation job keyed by its lineage content, so its PRNG streams — and
+// hence its estimate — depend only on Options.Seed, not on the worker
+// count or on other tuples; tuples sharing a clause set (within this
+// operator, elsewhere in the plan, or in an earlier query against a
+// shared engine cache) share one estimation. Without Strata, threshold or
+// top-k the jobs are flat and spend the FPRAS budget; otherwise they are
+// stratified and sample adaptively until the (ε,δ) bound holds, and
+// threshold/top-k stop a tuple early once its decision is settled. Those
+// two options never filter the output: every tuple still appears with
+// its estimate; they only govern how much sampling effort it receives.
 func (run *evalRun) Conf(x *urel.Exec, _ *urel.Database, in algebra.URelResult, pcol string) (algebra.URelResult, error) {
 	if in.Rel.Schema().Has(pcol) {
 		return algebra.URelResult{}, fmt.Errorf("core: conf column %q already in schema %v", pcol, in.Rel.Schema())
 	}
+	opts := run.engine.opts
+	eps, delta := opts.confEps(), opts.confDelta()
+	maxStrata := opts.confStrata()
 	var tuples []rowConf
-	var err error
-	if run.engine.opts.stratifiedConf() {
-		tuples, err = run.confStrat(x, in.Rel)
-	} else {
-		tuples, err = run.confFlat(x, in.Rel)
+	var jobs []*stratJob
+	run.batch = make(map[contentKey]*stratJob)
+	budget := func(clauses int) int64 { return karpluby.TrialsFor(eps, delta, clauses) }
+	// One pass streams the lineage groups into jobs and keeps only
+	// (row, value) per tuple. The singleton shortcut is always on here: a
+	// single clause's weight is its exact probability.
+	for tc := range x.LineageSeq(in.Rel) {
+		cv, job, err := run.newStratJob(tc.F, budget, true, maxStrata)
+		if err != nil {
+			return algebra.URelResult{}, err
+		}
+		if job != nil {
+			jobs = append(jobs, job)
+		}
+		tuples = append(tuples, rowConf{row: tc.Row, cv: cv})
 	}
-	if err != nil {
+	tgt := stratTarget{adaptive: maxStrata > 0, eps: eps, delta: delta}
+	if opts.ConfThreshold > 0 || opts.ConfTopK > 0 {
+		all := make([]*confValue, len(tuples))
+		for i, t := range tuples {
+			all[i] = t.cv
+		}
+		tgt.decided = confDecider(all, opts.ConfThreshold, opts.ConfTopK, delta)
+	}
+	if err := run.runStratEstimates(jobs, tgt); err != nil {
 		return algebra.URelResult{}, err
 	}
 	return confOutput(in, pcol, tuples), nil
@@ -41,38 +69,6 @@ func (run *evalRun) Conf(x *urel.Exec, _ *urel.Database, in algebra.URelResult, 
 type rowConf struct {
 	row rel.Tuple
 	cv  *confValue
-}
-
-// confFlat estimates every distinct tuple of r with the flat Karp–Luby
-// estimator at the conf (ε,δ) budget. It streams the lineage groups: one
-// pass builds the estimation jobs and keeps only (row, value) per tuple,
-// so the clause sets flow straight into the estimators. Jobs are keyed by
-// lineage content, so tuples sharing a clause set — within this operator,
-// elsewhere in the plan, or in an earlier query against a shared engine
-// cache — share one estimation.
-func (run *evalRun) confFlat(x *urel.Exec, r *urel.Relation) ([]rowConf, error) {
-	eps, delta := run.engine.opts.confEps(), run.engine.opts.confDelta()
-	var tuples []rowConf
-	var jobs []*estimateJob
-	run.batch = make(map[contentKey]*estimateJob)
-	budget := func(clauses int) int64 { return karpluby.TrialsFor(eps, delta, clauses) }
-	for tc := range x.LineageSeq(r) {
-		// The singleton shortcut is always on here: a single clause's
-		// weight is its exact probability (the estimator would return it
-		// deterministically anyway).
-		cv, job, err := run.newJob(tc.F, budget, true)
-		if err != nil {
-			return nil, err
-		}
-		if job != nil {
-			jobs = append(jobs, job)
-		}
-		tuples = append(tuples, rowConf{row: tc.Row, cv: cv})
-	}
-	if err := run.runEstimates(jobs); err != nil {
-		return nil, err
-	}
-	return tuples, nil
 }
 
 // confOutput builds a conf operator's result from its estimated tuples:
@@ -104,57 +100,54 @@ func confOutput(in algebra.URelResult, pcol string, tuples []rowConf) algebra.UR
 	return res
 }
 
-// confValue is one approximable conf[Āᵢ] term of a σ̂ group: either an
-// exact probability (empty or singleton lineage), a live flat Karp–Luby
-// estimator, or — on the stratified path — a stratified estimator over
-// the factored residue plus the exactly-computed part of the lineage
-// (combined as p = exactPart + (1−exactPart)·p_R, see dnf.Factor).
+// confValue is one approximable conf[Āᵢ] term of a conf or σ̂ operator:
+// an exact probability (job nil), or the estimate of the job's clause set
+// combined with the exactly-factored part of the lineage as
+// p = value + (1−value)·p_R (see dnf.Factor; flat jobs factor nothing).
 type confValue struct {
-	exact     bool
-	value     float64
-	est       *karpluby.Estimator
-	strat     *karpluby.Stratified
-	exactPart float64 // exact factored part, stratified path only
-	provErr   float64 // Σ µ over the input tuples in this term's provenance
-	singular  bool
+	job      *stratJob
+	value    float64 // the exact probability, or the exactly-factored part
+	provErr  float64 // Σ µ over the input tuples in this term's provenance
+	singular bool
 }
 
 func (cv *confValue) estimate() float64 {
-	if cv.exact {
+	if cv.job == nil {
 		return cv.value
 	}
-	if cv.strat != nil {
-		r := math.Min(1, math.Max(0, cv.strat.Estimate()))
-		return cv.exactPart + (1-cv.exactPart)*r
+	p := cv.job.est.Estimate()
+	if cv.job.flat() {
+		// The flat FPRAS estimate X·M/m, unclamped as the paper states it.
+		return p
 	}
-	return cv.est.Estimate()
+	r := math.Min(1, math.Max(0, p))
+	return cv.value + (1-cv.value)*r
 }
 
-// delta returns the per-value error bound δᵢ(ε) after the run's rounds.
-// On the stratified path the residue's relative-error bound carries to
-// the combined value unchanged (factor.go), so no adjustment is needed.
+// delta returns the per-value error bound δᵢ(ε) after the run's trials:
+// the Chernoff bound for flat jobs, the empirical-Bernstein one for
+// stratified jobs. The residue's relative-error bound carries to the
+// combined value unchanged (factor.go), so no adjustment is needed.
 func (cv *confValue) delta(eps float64) float64 {
-	if cv.exact {
+	if cv.job == nil {
 		return 0
 	}
-	if cv.strat != nil {
-		return cv.strat.Delta(eps)
+	est := cv.job.est
+	if cv.job.flat() {
+		return karpluby.DeltaBound(eps, est.Trials(), est.ClauseCount())
 	}
-	return cv.est.Delta(eps)
+	return est.Delta(eps)
 }
 
 // bounds returns a 1−delta confidence interval for the combined value,
-// used by threshold/top-k early stopping.
+// used by threshold/top-k early stopping (which implies stratified jobs).
 func (cv *confValue) bounds(delta float64) (lo, hi float64) {
-	if cv.exact {
+	if cv.job == nil {
 		return cv.value, cv.value
 	}
-	if cv.strat != nil {
-		lo, hi = cv.strat.Bounds(delta)
-		e := cv.exactPart
-		return e + (1-e)*lo, e + (1-e)*hi
-	}
-	return cv.est.Bounds(delta)
+	lo, hi = cv.job.est.Bounds(delta)
+	e := cv.value
+	return e + (1-e)*lo, e + (1-e)*hi
 }
 
 // ApproxSelect implements σ̂ under approximation (Definition 6.2): for
@@ -165,18 +158,12 @@ func (cv *confValue) bounds(delta float64) (lo, hi float64) {
 // Σᵢ δᵢ(ε) plus the provenance error of the conf inputs.
 func (run *evalRun) ApproxSelect(x *urel.Exec, _ *urel.Database, in algebra.URelResult, n algebra.ApproxSelect) (algebra.URelResult, error) {
 	roundBudget := func(clauses int) int64 { return run.rounds * int64(clauses) }
-	var jobs []*estimateJob
-	var sjobs []*stratJob
+	var jobs []*stratJob
 	// One batch spans every argument: content-equal lineages across (and
 	// within) arguments share a single estimation job. With Strata set,
-	// σ̂ estimations run on the stratified path (factoring pre-pass +
-	// Neyman allocation of the same per-pass trial budget).
-	strat := run.engine.opts.Strata > 0
-	if strat {
-		run.sbatch = make(map[contentKey]*stratJob)
-	} else {
-		run.batch = make(map[contentKey]*estimateJob)
-	}
+	// the jobs are stratified (factoring pre-pass + Neyman allocation of
+	// the same per-pass trial budget); otherwise they are flat.
+	run.batch = make(map[contentKey]*stratJob)
 	// Build each argument's projected lineage with provenance errors.
 	argTuples := make([][]argTuple, len(n.Args))
 	argSchemas := make([]rel.Schema, len(n.Args))
@@ -201,25 +188,13 @@ func (run *evalRun) ApproxSelect(x *urel.Exec, _ *urel.Database, in algebra.URel
 			// run.rounds rounds of |F| trials each. NoSingletonShortcut
 			// forces even single-clause lineages through the estimator
 			// (ablation knob).
-			var cv *confValue
-			var err error
-			if strat {
-				var sj *stratJob
-				cv, sj, err = run.newStratJob(tc.F,
-					roundBudget, !run.engine.opts.NoSingletonShortcut)
-				if sj != nil {
-					sjobs = append(sjobs, sj)
-				}
-			} else {
-				var job *estimateJob
-				cv, job, err = run.newJob(tc.F,
-					roundBudget, !run.engine.opts.NoSingletonShortcut)
-				if job != nil {
-					jobs = append(jobs, job)
-				}
-			}
+			cv, job, err := run.newStratJob(tc.F, roundBudget,
+				!run.engine.opts.NoSingletonShortcut, run.engine.opts.Strata)
 			if err != nil {
 				return algebra.URelResult{}, err
+			}
+			if job != nil {
+				jobs = append(jobs, job)
 			}
 			if provErr != nil {
 				k := tc.Row.Key()
@@ -231,14 +206,10 @@ func (run *evalRun) ApproxSelect(x *urel.Exec, _ *urel.Database, in algebra.URel
 		argTuples[i] = tuples
 		argSchemas[i] = proj.Schema()
 	}
-	// Spend every argument tuple's trial budget in one pooled batch: the
+	// Spend every argument tuple's trial budget in one batch: the
 	// scheduler sees all (tuple, chunk) tasks at once and keeps every
 	// worker busy across argument boundaries.
-	if strat {
-		if err := run.runStratEstimates(sjobs, stratTarget{adaptive: false}); err != nil {
-			return algebra.URelResult{}, err
-		}
-	} else if err := run.runEstimates(jobs); err != nil {
+	if err := run.runStratEstimates(jobs, stratTarget{}); err != nil {
 		return algebra.URelResult{}, err
 	}
 

@@ -30,7 +30,9 @@ import (
 // that sampled them (karpluby.State's Partial fields): the next run
 // completes the chunk by continuing the saved stream from exactly where
 // it stopped, so no cached trial is ever re-sampled and the merged counts
-// stay bit-identical to a from-scratch run.
+// stay bit-identical to a from-scratch run. (That is how flat jobs use
+// the cache; stratified jobs store chunk-aligned per-stratum entries and
+// always take the prefix-resume path — see stratified.go.)
 //
 // Entries are keyed by (content, engine seed): counts sampled under one
 // seed scheme are useless to another, and clients of a shared engine may
@@ -44,10 +46,10 @@ import (
 // future reuse — a missing entry means sampling from scratch, which is
 // always correct.
 //
-// A Cache is safe for concurrent use: it is written by pool workers (the
-// worker that merges a task's last chunk publishes the task's new state),
-// read during plan construction, and — when owned by a long-lived engine —
-// shared by any number of concurrent evaluations.
+// A Cache is safe for concurrent use: it is written when an estimation
+// batch finishes (each job publishes its new state), read during job
+// construction, and — when owned by a long-lived engine — shared by any
+// number of concurrent evaluations.
 type Cache struct {
 	mu         sync.Mutex
 	maxEntries int
@@ -68,7 +70,7 @@ type cacheKey struct {
 type cacheEntry struct {
 	key       cacheKey
 	clauses   int   // |F| after dedup — guard against fingerprint collisions
-	chunkSize int64 // chunk plan granularity (chunkTrials(clauses))
+	chunkSize int64 // chunk plan granularity (karpluby.DefaultChunk(clauses))
 	seed      int64 // engine seed the counts were sampled under
 
 	// Full coverage of the last completed budget: hits over exactly
@@ -128,7 +130,7 @@ func (c *Cache) Stats() CacheStats {
 // republishes the grown state, the entry has simply degraded to its
 // full-chunk prefix — still valid — rather than silently pairing stale
 // partial counts with an advanced PRNG. (The normal path re-stores the
-// new tail when the job's last chunk merges.)
+// new tail when the job's batch finishes.)
 func (c *Cache) lookup(key contentKey, clauses int, chunkSize, total, seed int64) (karpluby.State, bool) {
 	c.mu.Lock()
 	var st karpluby.State

@@ -10,7 +10,7 @@ import (
 
 // A Distributor executes estimation chunk batches remotely. It is the
 // seam the cluster layer plugs into: when an engine carries one, every
-// runEstimates / stratified-wave batch is handed to it as typed work
+// sampling wave of the estimation driver is handed to it as typed work
 // units instead of the local worker pool, and the returned integer counts
 // are absorbed into the same merge targets. Because a chunk's PRNG stream
 // is fixed by (task seed, plan index) and merged counts are commutative
@@ -23,9 +23,10 @@ import (
 // The contract per task: for every listed chunk, sample exactly Chunk.N
 // trials from the stream seeded by sched.ChunkSeed(Seed, Chunk.Index)
 // over the shipped clause set and variable table (probabilities bit-exact,
-// clause order preserved), and return the summed counts. A task with
-// MaxStrata > 0 is stratified: the executor re-derives the deterministic
-// karpluby.PlanStrata partition and samples the Stratum-th band.
+// clause order preserved), and return the summed counts. The executor
+// re-derives the deterministic karpluby.PlanStrata partition for
+// MaxStrata and samples the Stratum-th band; a flat task (MaxStrata 0)
+// plans one stratum.
 type Distributor interface {
 	// SampleChunks executes every task and returns one RemoteCounts per
 	// task, in task order. An error aborts the batch; implementations
@@ -42,17 +43,17 @@ type RemoteTask struct {
 	// 64-bit words that key the engine's estimator cache. Shards use them
 	// as cache and placement keys.
 	KeyHi, KeyLo uint64
-	// Seed is the task seed chunk streams derive from. On the stratified
-	// path it is already the stratum-resolved seed
-	// (karpluby.StratumSeed(taskSeed, Stratum)).
+	// Seed is the stratum-resolved seed chunk streams derive from
+	// (karpluby.StratumSeed(taskSeed, Stratum); the task seed itself for
+	// stratum 0).
 	Seed int64
 	// ChunkSize is the full plan chunk size (round-aligned; only a
 	// trailing chunk may be smaller).
 	ChunkSize int64
-	// MaxStrata and Stratum select the stratified path: with MaxStrata
-	// > 0 the executor rebuilds PlanStrata(Clauses, table, MaxStrata) and
-	// samples stratum Stratum; with MaxStrata == 0 the flat estimator
-	// samples the whole clause set.
+	// MaxStrata is the job's band bound and Stratum the band to sample:
+	// the executor rebuilds PlanStrata(Clauses, table, MaxStrata). A flat
+	// job has MaxStrata 0, which plans a single stratum over the whole
+	// clause set — the flat estimator's streams — so Stratum is 0.
 	MaxStrata int
 	Stratum   int
 	// Clauses is the canonical (content-ordered, deduplicated) clause

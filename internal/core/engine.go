@@ -201,18 +201,17 @@ func (o Options) Validate() error {
 // forces the stratified conf path but Options.Strata was left 0.
 const defaultStrata = 4
 
-// stratifiedConf reports whether conf operators take the stratified
-// adaptive path.
-func (o Options) stratifiedConf() bool {
-	return o.Strata > 0 || o.ConfThreshold > 0 || o.ConfTopK > 0
-}
-
-// strataCount returns the effective band bound for stratification plans.
-func (o Options) strataCount() int {
-	if o.Strata > 0 {
+// confStrata returns the band bound of conf operators' estimation jobs:
+// Strata when set, defaultStrata when a threshold/top-k option asks for
+// stratified early stopping, and 0 (flat Karp–Luby) otherwise.
+func (o Options) confStrata() int {
+	switch {
+	case o.Strata > 0:
 		return o.Strata
+	case o.ConfThreshold > 0 || o.ConfTopK > 0:
+		return defaultStrata
 	}
-	return defaultStrata
+	return 0
 }
 
 func (o Options) confEps() float64 {
@@ -597,10 +596,8 @@ type evalRun struct {
 	// table (lazily built).
 	fper *fingerprinter
 	// batch dedups content-equal estimation tasks within one operator's
-	// job batch; see newJob.
-	batch map[contentKey]*estimateJob
-	// sbatch is batch's counterpart for stratified jobs; see newStratJob.
-	sbatch map[contentKey]*stratJob
+	// job batch; see newStratJob.
+	batch map[contentKey]*stratJob
 	// trials counts trials sampled this pass; reused counts trials whose
 	// integer sums were carried over from cache snapshots instead;
 	// cacheHits counts tasks that resumed from a snapshot.

@@ -130,12 +130,13 @@ func TestSequentialChunkReferenceMatch(t *testing.T) {
 		// round-aligned chunks of the FPRAS budget.
 		taskSeed := sched.TaskSeedWords(seed, key.hi, key.lo)
 		total := karpluby.TrialsFor(0.1, 0.1, est.ClauseCount())
-		for _, c := range sched.Chunks(total, chunkTrials(est.ClauseCount())) {
+		var hits int64
+		for _, c := range sched.Chunks(total, karpluby.DefaultChunk(est.ClauseCount())) {
 			sh := est.Shard(rand.New(rand.NewSource(sched.ChunkSeed(taskSeed, c.Index))))
 			sh.Add(int(c.N))
-			est.Merge(sh)
+			hits += sh.Hits()
 		}
-		want := est.Estimate()
+		want := float64(hits) * est.M() / float64(total)
 
 		found := false
 		pIdx := res.Rel.Schema().Index("P")

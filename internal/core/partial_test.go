@@ -22,20 +22,20 @@ func partialFixture() (*urel.Database, dnf.F) {
 	return db, f
 }
 
-// estimateOnce spends one job's budget through the run machinery and
+// estimateOnce spends one flat job's budget through the estimation driver and
 // returns the run and the job's estimator value.
 func estimateOnce(t *testing.T, eng *Engine, cache *Cache, budget int64) (*evalRun, float64, int64) {
 	t.Helper()
 	_, f := partialFixture()
 	run := &evalRun{engine: eng, vars: eng.db.Clone().Vars, rounds: 1, cache: cache}
-	cv, job, err := run.newJob(f, func(int) int64 { return budget }, false)
+	cv, job, err := run.newStratJob(f, func(int) int64 { return budget }, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if job == nil {
 		t.Fatal("fixture unexpectedly classified as exact")
 	}
-	if err := run.runEstimates([]*estimateJob{job}); err != nil {
+	if err := run.runStratEstimates([]*stratJob{job}, stratTarget{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := job.est.Trials(); got != budget {

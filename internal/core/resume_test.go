@@ -140,9 +140,10 @@ func TestResumeSavesTrials(t *testing.T) {
 		on.Stats.EstimatorTrials, off.Stats.EstimatorTrials, ratio, on.Stats.ReusedTrials)
 }
 
-// TestEstimatorCacheRace hammers the cache with the access pattern
-// runEstimates produces — concurrent stores from workers finishing jobs,
-// interleaved with lookups — so the race detector can vet the locking.
+// TestEstimatorCacheRace hammers the cache with the access pattern of
+// concurrent evaluations sharing one engine cache — stores from finishing
+// batches interleaved with lookups — so the race detector can vet the
+// locking.
 func TestEstimatorCacheRace(t *testing.T) {
 	c := NewCache(0)
 	const goroutines, keys, rounds = 8, 16, 200

@@ -25,8 +25,9 @@ import (
 
 // Estimator is an incremental Karp–Luby confidence estimator for a single
 // clause set F. It is not safe for concurrent use; for parallel sampling,
-// derive per-goroutine shards with Shard and fold their counts back with
-// Merge.
+// derive per-goroutine shards with Shard and sum their counts. (The
+// engine samples through Stratified, whose one-stratum plan draws the
+// identical streams.)
 type Estimator struct {
 	f     dnf.F
 	table *vars.Table
@@ -44,14 +45,6 @@ type Estimator struct {
 	hits   int64 // Σ X_i
 	trials int64 // m
 
-	// chunks is the round-aligned chunk-plan cursor: the counts above are
-	// known to cover plan chunks [0, chunks) of the scheduling layer's
-	// deterministic chunk plan. The estimator itself never derives it —
-	// it is carried by State/Resume and advanced by the scheduler so a
-	// snapshot can be extended with only the delta chunks of a larger
-	// budget.
-	chunks int
-
 	// scratch buffers reused across trials to avoid allocation
 	world map[vars.Var]int32
 }
@@ -65,9 +58,8 @@ var ErrEmpty = errors.New("karpluby: empty clause set")
 // empty assignment has confidence exactly 1; the estimator handles it by
 // construction (single clause, always minimal).
 //
-// rng may be nil for an estimator used only as a merge target (a
-// "template" whose trials all come from shards); calling Step, Add, or
-// Confidence-style sampling on a nil-rng estimator panics.
+// rng may be nil for an estimator used only to derive shards; calling
+// Step, Add, or Confidence-style sampling on a nil-rng estimator panics.
 func NewEstimator(f dnf.F, table *vars.Table, rng *rand.Rand) (*Estimator, error) {
 	f = f.Dedup()
 	if len(f) == 0 {
@@ -113,7 +105,9 @@ func (e *Estimator) Hits() int64 { return e.hits }
 // from rng. The shard shares the parent's immutable clause data (clauses,
 // cumulative weights, variable list) but has its own trial counters and
 // scratch space, so shards of one estimator may run on separate goroutines
-// concurrently. Fold a finished shard's counts back with Merge.
+// concurrently. Because the estimate and its bound depend only on the
+// integer sums of hits and trials, any partition of m trials into shards
+// yields bit-identical results.
 func (e *Estimator) Shard(rng *rand.Rand) *Estimator {
 	return &Estimator{
 		f:     e.f,
@@ -126,12 +120,12 @@ func (e *Estimator) Shard(rng *rand.Rand) *Estimator {
 	}
 }
 
-// State is a resumable snapshot of an estimator's trial counts. It is the
-// whole mutable state of an Estimator: the clause set, weights, and PRNG
-// streams are all derived deterministically elsewhere (from the clause set
-// and the scheduler's seed scheme), so (Hits, Trials, Chunks) suffices to
-// continue an estimation exactly where a previous — possibly smaller —
-// budget left off.
+// State is a resumable snapshot of one clause set's trial counts, as the
+// engine's estimator cache hands it out. The clause set, weights, and
+// PRNG streams are all derived deterministically elsewhere (from the
+// clause set and the scheduler's seed scheme), so (Hits, Trials, Chunks)
+// suffices to continue an estimation exactly where a previous — possibly
+// smaller — budget left off.
 //
 // Chunks is the scheduler's round-aligned chunk-plan cursor: the counts
 // cover at least plan chunks [0, Chunks) of the deterministic chunk plan
@@ -151,8 +145,7 @@ func (e *Estimator) Shard(rng *rand.Rand) *Estimator {
 // from-scratch run would sample — instead of re-sampling the chunk, so
 // restart-heavy plans replay trailing partial chunks rather than re-spend
 // them. A snapshot with PartialRNG nil and Trials beyond the cursor's
-// coverage (the pre-snapshot format) remains valid only for exact replay
-// at the producing budget.
+// coverage remains valid only for exact replay at the producing budget.
 type State struct {
 	Hits   int64
 	Trials int64
@@ -175,72 +168,6 @@ func (s State) Valid() bool {
 		return false
 	}
 	return true
-}
-
-// State returns a snapshot of the estimator's counts and chunk cursor.
-// Snapshots taken after all chunks of a budget merged (see AdvanceTo) are
-// resumable into any run whose chunk plan extends this one's.
-func (e *Estimator) State() State {
-	return State{Hits: e.hits, Trials: e.trials, Chunks: e.chunks}
-}
-
-// Resume loads a snapshot into a fresh estimator, so that subsequent
-// sampling extends the snapshotted run instead of restarting it. The
-// estimator must not have sampled yet (Resume replaces, not merges), the
-// snapshot must be valid, and — for the bit-identity guarantee — it must
-// have been produced over the same clause set under the same seed scheme;
-// the latter is the caller's contract, since a State carries no clause
-// identity.
-func (e *Estimator) Resume(st State) error {
-	if !st.Valid() {
-		return errors.New("karpluby: invalid resume state")
-	}
-	if e.trials != 0 || e.hits != 0 {
-		return errors.New("karpluby: Resume on an estimator that already sampled")
-	}
-	e.hits, e.trials, e.chunks = st.Hits, st.Trials, st.Chunks
-	return nil
-}
-
-// AdvanceTo raises the chunk-plan cursor to chunk (a no-op when the cursor
-// is already past it). The scheduling layer calls it after every plan
-// chunk below the mark has merged, making the estimator's State resumable
-// at that boundary.
-func (e *Estimator) AdvanceTo(chunk int) {
-	if chunk > e.chunks {
-		e.chunks = chunk
-	}
-}
-
-// Merge folds shard o's trial counts into e. Both estimators must be over
-// the same clause set (normally o was created by e.Shard). Because the
-// estimate p̂ = X·M/m and the bound δ(ε) depend only on the integer sums
-// X and m, merging is exact and order-independent: any partition of m
-// trials into shards yields bit-identical results. The (ε,δ) guarantee of
-// Proposition 4.2 is preserved — it is a statement about m independent
-// trials regardless of which PRNG stream produced each one, provided the
-// shard streams are independent.
-func (e *Estimator) Merge(o *Estimator) {
-	if len(o.f) != len(e.f) || o.m != e.m {
-		panic("karpluby: merging estimators over different clause sets")
-	}
-	e.hits += o.hits
-	e.trials += o.trials
-}
-
-// Absorb folds raw remote trial counts into e. It is Merge for counts
-// that crossed a process boundary: a shard rebuilt an estimator over the
-// same clause set (same canonical order, same bit-exact probabilities,
-// same seed scheme), sampled the assigned chunks, and shipped back the
-// integer (hits, trials) sums. Because the estimate and bounds depend
-// only on those sums, absorbing is exact and order-independent just like
-// Merge; the same-clause-set contract is the caller's to uphold.
-func (e *Estimator) Absorb(hits, trials int64) {
-	if hits < 0 || trials < 0 || hits > trials {
-		panic("karpluby: absorbing invalid remote counts")
-	}
-	e.hits += hits
-	e.trials += trials
 }
 
 // trial runs one Karp–Luby trial (Definition 4.1) and returns 0 or 1: it

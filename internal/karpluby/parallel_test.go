@@ -23,6 +23,9 @@ func chainF(n int, p float64) (dnf.F, *vars.Table) {
 	return f, tab
 }
 
+// The parallel engine samples a flat clause set as a one-stratum
+// Stratified; these tests pin its shard/merge contract.
+
 // TestMergePartitionInvariant: splitting a trial budget into chunks, each
 // with its own deterministically seeded stream, yields bit-identical
 // (hits, trials) no matter how the chunks are grouped into shards — the
@@ -32,18 +35,15 @@ func TestMergePartitionInvariant(t *testing.T) {
 	const taskSeed, total, chunkSize = 12345, 9000, 1000
 
 	runPlan := func(group int) (int64, int64) {
-		tmpl, err := NewEstimator(f, tab, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tmpl := flatStratified(t, f, tab)
 		chunks := sched.Chunks(total, chunkSize)
 		// Process chunks in round-robin groups to simulate different
 		// worker interleavings.
 		for g := 0; g < group; g++ {
 			for i := g; i < len(chunks); i += group {
-				sh := tmpl.Shard(rand.New(rand.NewSource(sched.ChunkSeed(taskSeed, chunks[i].Index))))
+				sh := tmpl.Shard(0, rand.New(rand.NewSource(sched.ChunkSeed(taskSeed, chunks[i].Index))))
 				sh.Add(int(chunks[i].N))
-				tmpl.Merge(sh)
+				tmpl.MergeShard(0, sh)
 			}
 		}
 		return tmpl.Hits(), tmpl.Trials()
@@ -69,30 +69,20 @@ func TestShardConcurrentMatchesSequential(t *testing.T) {
 	const taskSeed, total, chunkSize = 99, 40000, 2500
 	chunks := sched.Chunks(total, chunkSize)
 
-	seq, err := NewEstimator(f, tab, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range chunks {
-		sh := seq.Shard(rand.New(rand.NewSource(sched.ChunkSeed(taskSeed, c.Index))))
-		sh.Add(int(c.N))
-		seq.Merge(sh)
-	}
+	seq := flatStratified(t, f, tab)
+	sampleChunks(seq, taskSeed, chunks)
 
-	par, err := NewEstimator(f, tab, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	par := flatStratified(t, f, tab)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	for _, c := range chunks {
 		wg.Add(1)
 		go func(c sched.Chunk) {
 			defer wg.Done()
-			sh := par.Shard(rand.New(rand.NewSource(sched.ChunkSeed(taskSeed, c.Index))))
+			sh := par.Shard(0, rand.New(rand.NewSource(sched.ChunkSeed(taskSeed, c.Index))))
 			sh.Add(int(c.N))
 			mu.Lock()
-			par.Merge(sh)
+			par.MergeShard(0, sh)
 			mu.Unlock()
 		}(c)
 	}
@@ -108,23 +98,18 @@ func TestShardConcurrentMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestMergeRejectsForeignEstimator: merging across different clause sets
-// is a programming error and must panic.
+// TestMergeRejectsForeignEstimator: merging a shard of a different
+// estimator is a programming error and must panic.
 func TestMergeRejectsForeignEstimator(t *testing.T) {
 	f1, tab1 := chainF(3, 0.5)
 	f2, tab2 := chainF(5, 0.5)
-	a, err := NewEstimator(f1, tab1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewEstimator(f2, tab2, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := flatStratified(t, f1, tab1)
+	b := flatStratified(t, f2, tab2)
+	sh := b.Shard(0, rand.New(rand.NewSource(1)))
 	defer func() {
 		if recover() == nil {
-			t.Error("Merge across clause sets did not panic")
+			t.Error("MergeShard across estimators did not panic")
 		}
 	}()
-	a.Merge(b)
+	a.MergeShard(0, sh)
 }

@@ -28,7 +28,8 @@ import (
 //
 // is unbiased, and per-stratum (hits, trials) counts remain mergeable
 // integer sums — any partition of a stratum's trials into shards or
-// chunks yields bit-identical results, exactly as for the flat estimator.
+// chunks yields bit-identical results. A one-stratum plan is the flat
+// estimator: same clause draw, same minimality test, same PRNG stream.
 //
 // The payoff is adaptive: per-stratum empirical-Bernstein bounds
 // (Maurer–Pontil) expose which strata still dominate the error, and
@@ -102,9 +103,11 @@ type stratum struct {
 
 	hits   int64
 	trials int64
-	// chunks is the stratum's round-aligned chunk-plan cursor, exactly as
-	// for Estimator.chunks: the counts cover plan chunks [0, chunks) of
-	// the stratum's deterministic chunk plan.
+	// chunks is the stratum's round-aligned chunk-plan cursor: the counts
+	// cover plan chunks [0, chunks) of the stratum's deterministic chunk
+	// plan. The estimator never derives it — the scheduler advances it
+	// once every chunk below the mark has merged, so a snapshot can be
+	// extended with only the delta chunks of a larger budget.
 	chunks int
 }
 
@@ -222,7 +225,9 @@ func (s *Stratified) StratumHits(j int) int64 { return s.strata[j].hits }
 func (s *Stratified) StratumChunks(j int) int { return s.strata[j].chunks }
 
 // AdvanceStratum raises stratum j's chunk cursor to chunk (no-op when the
-// cursor is already past it); see Estimator.AdvanceTo.
+// cursor is already past it). The scheduling layer calls it after every
+// plan chunk below the mark has merged, making the stratum's
+// StratumState resumable at that boundary.
 func (s *Stratified) AdvanceStratum(j, chunk int) {
 	if chunk > s.strata[j].chunks {
 		s.strata[j].chunks = chunk
@@ -231,9 +236,9 @@ func (s *Stratified) AdvanceStratum(j, chunk int) {
 
 // StratumState is a resumable snapshot of one stratum's counts. The
 // clause set, the partition plan, and the PRNG streams are all derived
-// deterministically elsewhere, so (Hits, Trials, Chunks) suffices —
-// exactly the contract of the flat estimator's State, minus mid-chunk
-// tails (the stratified scheduler only publishes chunk-aligned counts).
+// deterministically elsewhere, so (Hits, Trials, Chunks) suffices — the
+// counting part of State; a mid-chunk tail's PRNG stays with the
+// scheduler that continues it.
 type StratumState struct {
 	Hits   int64
 	Trials int64
@@ -249,7 +254,7 @@ func (s *Stratified) StratumState(j int) StratumState {
 // ResumeStratum loads a snapshot into stratum j, which must not have
 // sampled yet. The snapshot must come from the same canonical clause set,
 // the same partition plan, and the same seed scheme — the caller's
-// contract, as with Estimator.Resume.
+// contract, since a snapshot carries no clause identity.
 func (s *Stratified) ResumeStratum(j int, st StratumState) error {
 	if st.Hits < 0 || st.Trials < st.Hits || st.Chunks < 0 {
 		return errors.New("karpluby: invalid stratum resume state")
@@ -317,10 +322,10 @@ func (s *Stratified) MergeShard(j int, sh *StratumShard) {
 }
 
 // AbsorbStratum folds raw remote trial counts into stratum j — the
-// cross-process form of MergeShard, mirroring Estimator.Absorb: a shard
-// rebuilt the same stratification plan from the same canonical clause set
-// and bit-exact probabilities, sampled the assigned chunks of stratum j,
-// and shipped back the integer sums, which combine exactly.
+// cross-process form of MergeShard: a shard rebuilt the same
+// stratification plan from the same canonical clause set and bit-exact
+// probabilities, sampled the assigned chunks of stratum j, and shipped
+// back the integer sums, which combine exactly.
 func (s *Stratified) AbsorbStratum(j int, hits, trials int64) {
 	if hits < 0 || trials < 0 || hits > trials {
 		panic("karpluby: absorbing invalid remote stratum counts")
@@ -597,10 +602,9 @@ func (s *Stratified) Allocate(need int64) []int64 {
 
 // StratumSeed derives the per-stratum task seed the stratum's chunk
 // streams hang off (sched.ChunkSeed(StratumSeed(task, j), chunkIndex)).
-// Stratum 0 keeps the task seed unchanged so a single-stratum plan
-// samples the exact chunk streams of the flat scheduler — the
-// bit-parity contract tested by the scenario suite; higher strata get
-// decorrelated seeds.
+// Stratum 0 keeps the task seed unchanged so a one-stratum plan samples
+// the flat estimator's chunk streams (TestSingleStratumBitParity); higher
+// strata get decorrelated seeds.
 func StratumSeed(taskSeed int64, j int) int64 {
 	if j == 0 {
 		return taskSeed
@@ -608,10 +612,14 @@ func StratumSeed(taskSeed int64, j int) int64 {
 	return sched.TaskSeedWords(taskSeed, 0x9e3779b97f4a7c15*uint64(j+1), 0xc2b2ae3d27d4eb4f)
 }
 
-// DefaultChunk is the scheduler's chunk sizing — a whole number of
-// Figure-3 rounds (k trials each) totalling at least 4096 trials —
-// exposed so the sequential reference driver and benchmarks plan the
-// same chunks as the engine.
+// DefaultChunk is the scheduler's chunk sizing for a (stratum) clause set
+// of k clauses: a whole number of Figure-3 rounds (k trials each)
+// totalling at least 4096 trials. Round-aligned chunks keep the paper's
+// per-round error bookkeeping intact, and the size depends only on k —
+// never on the worker count — so the chunk plan, and therefore every
+// chunk's PRNG stream, is the same for any number of workers. The
+// engine, the sequential reference loop and the benchmarks all plan with
+// it.
 func DefaultChunk(clauses int) int64 {
 	const minChunkTrials = 4096
 	rounds := (minChunkTrials + clauses - 1) / clauses

@@ -167,9 +167,8 @@ func TestSingleStratumBitParity(t *testing.T) {
 			sh.Add(chunk)
 			s.MergeShard(0, sh)
 
-			fsh := flat.Shard(rand.New(rand.NewSource(cseed)))
-			fsh.Add(chunk)
-			flat.Merge(fsh)
+			flat.rng = rand.New(rand.NewSource(cseed))
+			flat.Add(chunk)
 		}
 		if s.Hits() != flat.Hits() || s.Trials() != flat.Trials() {
 			t.Fatalf("trial %d: stratified (%d/%d) != flat (%d/%d)",

@@ -197,19 +197,18 @@ func TestClusterShardFailoverBitParity(t *testing.T) {
 			for victim := 0; victim < 4; victim++ {
 				// Three healthy shards plus one behind a chaos proxy that
 				// lets the handshake through, cuts the first sample
-				// response mid-frame, and refuses every reconnect.
-				backends := startShards(t, 4)
-				peers := make([]string, 4)
-				copy(peers, backends)
+				// response mid-frame, and refuses every reconnect. The
+				// ring hashes the victim's address, so first find an
+				// address that owns traffic for this program.
+				backends, peers := trafficVictim(t, db, path.program, victim, path.opts)
 				fp := faultproxy.New(backends[victim], faultproxy.Script{
 					Conns:   map[int]faultproxy.Policy{1: {Action: faultproxy.Truncate, CutFrames: 1, CutBytes: 3}},
 					Default: faultproxy.Policy{Action: faultproxy.Refuse},
 				}, 42)
-				if err := fp.Start("127.0.0.1:0"); err != nil {
+				if err := fp.Start(peers[victim]); err != nil {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { fp.Close() })
-				peers[victim] = fp.Addr()
 				got, cs := evalOn(t, db, path.program, pdb.ClusterOptions{
 					Peers:            peers,
 					DialTimeout:      time.Second,
@@ -226,9 +225,8 @@ func TestClusterShardFailoverBitParity(t *testing.T) {
 				if got != want {
 					t.Errorf("victim %d: rows diverge from single-node\n got: %q\nwant: %q", victim, got, want)
 				}
-				// A small wave may not place any chunk on the victim
-				// (placement hashes its address); the kill only proves
-				// failover when the victim actually carried traffic.
+				// The kill only proves failover when the victim actually
+				// carried traffic; trafficVictim placed it so it does.
 				if fp.Stats().Conns > 0 {
 					victimsHit++
 					if cs.Failovers == 0 {
@@ -250,6 +248,34 @@ func TestClusterShardFailoverBitParity(t *testing.T) {
 			}
 		})
 	}
+}
+
+// trafficVictim starts four shards and finds an address for a proxy in
+// front of shard victim that the program's chunk placement sends
+// traffic to. Placement hashes peer addresses, so a small wave can miss a
+// given address entirely; each attempt runs the program once through a
+// pass-through proxy on a fresh address and keeps the first one that saw
+// a connection. The proxy is closed on return, so the caller can listen
+// on peers[victim] itself with the same placement.
+func trafficVictim(t *testing.T, db *pdb.DB, program string, victim int, opts []pdb.Option) (backends, peers []string) {
+	t.Helper()
+	for attempt := 0; attempt < 20; attempt++ {
+		backends = startShards(t, 4)
+		peers = append([]string(nil), backends...)
+		probe := faultproxy.New(backends[victim], faultproxy.Script{}, 1)
+		if err := probe.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		peers[victim] = probe.Addr()
+		evalOn(t, db, program, pdb.ClusterOptions{Peers: peers, HedgeAfter: -1}, opts...)
+		carried := probe.Stats().Conns > 0
+		probe.Close()
+		if carried {
+			return backends, peers
+		}
+	}
+	t.Fatalf("no address for victim %d carried traffic in 20 placements", victim)
+	return nil, nil
 }
 
 // SHALL: when every shard is gone and local fallback is off, Eval

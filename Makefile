@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-json conformance fuzz vet fmt-check docs-check links-check examples perfbench-test service-smoke cluster-smoke chaos-smoke storage-smoke ci
+.PHONY: build test race bench bench-json conformance fuzz vet fmt-check docs-check links-check examples perfbench-test service-smoke cluster-smoke chaos-smoke storage-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,11 @@ examples:
 		echo "== running $$d"; \
 		$(GO) run ./$$d > /dev/null; \
 	done
+
+# Print non-test and test Go line counts (perfbench/ excluded): the
+# measure of code paths removed while every test and benchmark holds.
+loc:
+	./scripts/loc.sh
 
 # Vet and test the benchmark harness. perfbench is a separate module
 # (replace repro => ../), so `go test ./...` never compiles it, yet it

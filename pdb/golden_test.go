@@ -47,26 +47,26 @@ var goldenSkewQueries = []string{
 // and resume chunk-aligned counts across restarts), and out-of-core
 // exact. Sampling modes use fixed seeds, so a change to any PRNG stream
 // shows up as an explicit diff.
+//
+// Clustered modes are rerun through an in-process two-shard cluster.
+// Those rows, bounds and singularity marks must equal the single-node
+// lines; their stats are not recorded, because remote dispatch re-samples
+// mid-chunk tails instead of continuing them.
 var goldenModes = []struct {
-	name  string
-	exact bool
-	opts  func(spillDir string) []Option
+	name      string
+	exact     bool
+	clustered bool
+	opts      func(spillDir string) []Option
 }{
-	{"exact", true, func(string) []Option { return nil }},
-	{"flat", false, func(string) []Option { return []Option{WithSeed(7)} }},
-	{"strata4", false, func(string) []Option { return []Option{WithSeed(7), WithStrata(4)} }},
-	{"strata4-tau", false, func(string) []Option { return []Option{WithSeed(7), WithStrata(4), WithThreshold(0.3)} }},
-	{"strata4-tight", false, func(string) []Option { return []Option{WithSeed(7), WithStrata(4), WithDelta(1e-9)} }},
-	{"exact-spilled", true, func(dir string) []Option {
+	{"exact", true, false, func(string) []Option { return nil }},
+	{"flat", false, true, func(string) []Option { return []Option{WithSeed(7)} }},
+	{"strata4", false, true, func(string) []Option { return []Option{WithSeed(7), WithStrata(4)} }},
+	{"strata4-tau", false, false, func(string) []Option { return []Option{WithSeed(7), WithStrata(4), WithThreshold(0.3)} }},
+	{"strata4-tight", false, true, func(string) []Option { return []Option{WithSeed(7), WithStrata(4), WithDelta(1e-9)} }},
+	{"exact-spilled", true, false, func(dir string) []Option {
 		return []Option{WithMaxMemory(300), WithSpillDir(dir)}
 	}},
 }
-
-// clusteredModes are the sampling modes rerun through an in-process
-// two-shard cluster. Their rows, bounds and singularity marks must equal
-// the single-node lines; their stats are not recorded, because remote
-// dispatch re-samples mid-chunk tails instead of continuing them.
-var clusteredModes = []string{"flat", "strata4", "strata4-tight"}
 
 // TestGoldenFingerprints compares every (mode, query) result — rows with
 // their error bounds and singularity marks, plus the deterministic
@@ -121,12 +121,9 @@ func TestGoldenFingerprints(t *testing.T) {
 		}
 	}
 	peers := startGoldenShards(t, 2)
-	for _, name := range clusteredModes {
-		var opts []Option
-		for _, m := range goldenModes {
-			if m.name == name {
-				opts = m.opts("")
-			}
+	for _, m := range goldenModes {
+		if !m.clustered {
+			continue
 		}
 		for _, set := range sets {
 			for i, src := range set.queries {
@@ -138,16 +135,16 @@ func TestGoldenFingerprints(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := q.Eval(ctx, opts...)
+				res, err := q.Eval(ctx, m.opts("")...)
 				eng.Close()
 				if err != nil {
-					t.Fatalf("%s-2shard %s%d: %v", name, set.label, i, err)
+					t.Fatalf("%s-2shard %s%d: %v", m.name, set.label, i, err)
 				}
 				body := goldenBody(res)
-				if want := bodies[fmt.Sprintf("%s %s%d", name, set.label, i)]; body != want {
-					t.Errorf("%s %s%d: two-shard rows differ from single node\n got: %q\nwant: %q", name, set.label, i, body, want)
+				if want := bodies[fmt.Sprintf("%s %s%d", m.name, set.label, i)]; body != want {
+					t.Errorf("%s %s%d: two-shard rows differ from single node\n got: %q\nwant: %q", m.name, set.label, i, body, want)
 				}
-				fmt.Fprintf(&sb, "== %s-2shard %s%d\n", name, set.label, i)
+				fmt.Fprintf(&sb, "== %s-2shard %s%d\n", m.name, set.label, i)
 				sb.WriteString(body)
 			}
 		}
